@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install lint test test-all bench bench-quick bench-hotpath bench-fusion bench-zerocopy bench-engine bench-hier bench-hetero bench-online-tune bench-all check-gates scale-smoke trace-smoke hier-smoke hetero-smoke elastic-smoke report examples tune clean
+.PHONY: install lint test test-all bench bench-quick bench-engine bench-hier bench-hetero bench-online-tune bench-all check-gates scale-smoke trace-smoke hier-smoke hetero-smoke elastic-smoke report examples tune clean
 
 install:
 	pip install -e .
@@ -33,15 +33,6 @@ bench:
 bench-quick:
 	REPRO_BENCH_SCALE=quick $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-bench-hotpath:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_hotpath.py
-
-bench-fusion:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_group_fusion.py
-
-bench-zerocopy:
-	PYTHONPATH=src $(PYTHON) benchmarks/bench_zero_copy.py
-
 # thread vs cooperative scheduler at 64 -> 4096 ranks (several minutes)
 bench-engine:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_engine_scale.py
@@ -60,15 +51,12 @@ bench-hetero:
 bench-online-tune:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_online_tune.py
 
-# refresh every committed BENCH_*.json in one go
-bench-all: bench-hotpath bench-fusion bench-zerocopy bench-engine bench-hier bench-hetero bench-online-tune
+# refresh the committed BENCH_*.json files that still have a script
+# (BENCH_hotpath/group_fusion/zero_copy are historical records)
+bench-all: bench-engine bench-hier bench-hetero bench-online-tune
 
-# tier-1 suite with each fast-path gate individually toggled: every
-# optimisation must be pure wall-clock, invisible to results
+# tier-1 suite with each gate individually switched on
 check-gates:
-	MPIX_PLAN_CACHE=0 $(PYTHON) -m pytest tests/ -x -q
-	MPIX_GROUP_FUSION=0 $(PYTHON) -m pytest tests/ -x -q
-	MPIX_ZERO_COPY=0 $(PYTHON) -m pytest tests/ -x -q
 	MPIX_TRACE=1 $(PYTHON) -m pytest tests/ -x -q
 	MPIX_COOP_SCHED=1 $(PYTHON) -m pytest tests/ -x -q
 	MPIX_HIER_PIPE=1 $(PYTHON) -m pytest tests/ -x -q

@@ -195,7 +195,7 @@ def main() -> None:
                       flush=True)
             report["collectives"][name] = rows
     finally:
-        fastpath.set_coop_sched_enabled(prev)
+        fastpath.configure(coop_sched=prev)
 
     out = Path(__file__).resolve().parent.parent / "BENCH_engine_scale.json"
     out.write_text(json.dumps(report, indent=2) + "\n")

@@ -10,7 +10,7 @@ seven send-recv-composed ones (§3.3), and their MPI-algorithm fallbacks
         │                    the ONE place eligibility is decided)
         │ route             (mode pin or §3.4 tuning-table crossover)
         │ plan lookup       (compiled RouteDecision replayed per
-        │                    communicator when MPIX_PLAN_CACHE is on)
+        │                    communicator)
         ▼ execute           {direct-CCL | fused sendrecv-group |
                              MPI-algorithm fallback}
 
@@ -412,17 +412,15 @@ class CollectivePipeline:
     def _table_for(self, comm) -> TuningTable:
         if self._table is not None:
             return self._table
-        if fastpath.plans_enabled():
-            table = self._tables.get(comm.ctx_id)
-            if table is not None:
-                return table
+        table = self._tables.get(comm.ctx_id)
+        if table is not None:
+            return table
         from repro.perfmodel.shape import shape_of
         shape = shape_of(comm.ctx.cluster, comm.group,
                          comm.ctx.engine.ranks_per_node)
         assert self.layer.backend is not None
-        table = cached_table(shape, self.layer.backend.params, comm.config)
-        if fastpath.plans_enabled():
-            self._tables[comm.ctx_id] = table
+        table = self._tables[comm.ctx_id] = cached_table(
+            shape, self.layer.backend.params, comm.config)
         return table
 
     def route(self, comm, coll: str, nbytes: int, dt, op, significant,
@@ -452,7 +450,7 @@ class CollectivePipeline:
         if fallback is not None:
             return fallback
         hier_ok = (self.mode == DispatchMode.HYBRID
-                   and fastpath.hier_pipe_enabled()
+                   and fastpath.gate_enabled("hier_pipe")
                    and coll in hier_exec.HIER_TUNING_KEYS
                    and nbytes >= hier_exec.hier_min_bytes(coll)
                    and (op is None or op.commutative)
@@ -479,7 +477,7 @@ class CollectivePipeline:
     def _tuning_active(self, coll: str) -> bool:
         """Whether the online tuner steers this collective's route."""
         return (self.mode == DispatchMode.HYBRID
-                and fastpath.online_tune_enabled()
+                and fastpath.gate_enabled("online_tune")
                 and coll in TUNABLE_COLLECTIVES)
 
     def _route_online(self, comm, coll: str, nbytes: int, static: str,
@@ -517,7 +515,7 @@ class CollectivePipeline:
         the same purely local facts on every rank, so the route can
         never diverge across islands.
         """
-        if not fastpath.hetero_enabled():
+        if not fastpath.gate_enabled("hetero"):
             self._mark("capability:skipped")
             return RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
         desc = bridge.negotiated_descriptor(comm)
@@ -556,18 +554,13 @@ class CollectivePipeline:
         persistent-collective plan warming).
 
         The decision is a pure function of (mode, collective, byte
-        count, datatype, reduce op, buffer residency); with the plan
-        fast path enabled it is compiled into a
-        :class:`CollectivePlan` once and replayed from the
-        communicator's plan cache.
+        count, datatype, reduce op, buffer residency), so it is
+        compiled into a :class:`CollectivePlan` once and replayed from
+        the communicator's plan cache.
         """
         significant = [b for b in buffers if b is not None and b is not IN_PLACE]
         on_device = not significant or \
             self.layer.identify_device_buffer(*significant)
-        if not fastpath.plans_enabled():
-            self._mark("plan:off")
-            return self.route(comm, coll, nbytes, dt, op, significant,
-                              on_device)
         if self._tuning_active(coll):
             # the online tuner's phase is a function of the per-bucket
             # call index — a cached decision would freeze the warm-up
@@ -664,12 +657,14 @@ class CollectivePipeline:
 
     def _record(self, decision: RouteDecision, spec: CollectiveSpec) -> None:
         self.stats.record(decision, spec.tuning_key)
-        fastpath.STATS.note_dispatch(
-            xccl=decision.route == Route.XCCL,
-            fallback=decision.is_fallback,
-            ccl_error=decision.reason == FallbackReason.CCL_ERROR,
-            hier=decision.route == Route.HIER,
-            bridge=decision.route == Route.BRIDGE)
+        add = fastpath.STATS.add
+        add("dispatch_calls")
+        add(f"route_{decision.route.value}")
+        if decision.route == Route.MPI:
+            if decision.is_fallback:
+                add("route_fallbacks")
+            if decision.reason == FallbackReason.CCL_ERROR:
+                add("ccl_errors")
 
     # -- the whole pipe -----------------------------------------------------
 

@@ -155,7 +155,9 @@ class OnlineTuner:
             if best_mean is None or mean < best_mean or \
                     (mean == best_mean and route == state.static):
                 best, best_mean = route, mean
-        fastpath.STATS.note_online_update(flipped=best != state.static)
+        fastpath.STATS.add("online_updates")
+        if best != state.static:
+            fastpath.STATS.add("route_flips")
         return best
 
     # -- lifecycle / reporting ----------------------------------------------

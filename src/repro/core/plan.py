@@ -21,16 +21,15 @@ buffers keyed by (residency, dtype, element count) are recycled across
 iterations instead of re-allocated (``alloc_like`` charges no virtual
 time, so pooling is invisible to the simulated clock).
 
-The whole layer honors :func:`repro.fastpath.plans_enabled`; disabling
-it restores per-call derivation with bit-identical results (the
-regression tests in ``tests/test_plan_cache.py`` prove it).
+Replay is bit-identical to a fresh derivation: the digests in
+``tests/golden_digests.json`` were captured with per-call derivation.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro import fastpath
 from repro.core.fallback import RouteDecision
@@ -77,16 +76,16 @@ class PlanCache:
         plan = self._plans.get(key)
         if plan is not None:
             self.hits += 1
-            fastpath.STATS.note_hit()
+            fastpath.STATS.add("hits")
         else:
             self.misses += 1
-            fastpath.STATS.note_miss()
+            fastpath.STATS.add("misses")
         return plan
 
     def store(self, key: Tuple, plan: CollectivePlan) -> CollectivePlan:
         """Register a freshly compiled plan."""
         self._plans[key] = plan
-        fastpath.STATS.note_compiled()
+        fastpath.STATS.add("compiled")
         return plan
 
     def clear(self) -> None:
@@ -117,19 +116,19 @@ class BufferPool:
     the default ``threadsafe=False``; the engine's shared accumulator
     pool (reduction scratch handed between rank threads by the
     zero-copy collectives) passes ``threadsafe=True`` to guard the
-    free lists with a lock.  ``reuse_note`` names the
-    :data:`repro.fastpath.STATS` callback credited on a pool hit, so
+    free lists with a lock.  ``counter`` names the
+    :data:`repro.fastpath.STATS` counter credited on a pool hit, so
     accumulator reuse is counted separately from per-rank staging
     reuse.
     """
 
     def __init__(self, cap_per_key: int = POOL_CAP_PER_KEY,
                  threadsafe: bool = False,
-                 reuse_note: Optional[Callable[[], None]] = None) -> None:
+                 counter: str = "pool_reuses") -> None:
         self._free: Dict[Tuple, List[Any]] = {}
         self.cap_per_key = cap_per_key
         self._lock = threading.Lock() if threadsafe else None
-        self._reuse_note = reuse_note or fastpath.STATS.note_pool_reuse
+        self._counter = counter
 
     def acquire(self, key: Tuple) -> Optional[Any]:
         """Pop a pooled buffer for ``key`` (None when empty)."""
@@ -141,7 +140,7 @@ class BufferPool:
             free = self._free.get(key)
             buf = free.pop() if free else None
         if buf is not None:
-            self._reuse_note()
+            fastpath.STATS.add(self._counter)
         return buf
 
     def release(self, key: Tuple, buf: Any) -> None:

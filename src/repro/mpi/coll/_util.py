@@ -6,7 +6,6 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro import fastpath
 from repro.hw.memory import Buffer, as_array
 from repro.mpi.communicator import IN_PLACE
 
@@ -31,10 +30,9 @@ def chunk_bounds(count: int, parts: int) -> Tuple[Tuple[int, int], ...]:
     contiguous chunks, np.array_split-style (first ``count % parts``
     chunks one element larger).  Pure in its arguments, so the result
     is memoized — every ring/pairwise step re-derives the same split."""
-    if fastpath.plans_enabled():
-        cached = _CHUNK_CACHE.get((count, parts))
-        if cached is not None:
-            return cached
+    cached = _CHUNK_CACHE.get((count, parts))
+    if cached is not None:
+        return cached
     base, rem = divmod(count, parts)
     bounds = []
     off = 0
@@ -43,10 +41,9 @@ def chunk_bounds(count: int, parts: int) -> Tuple[Tuple[int, int], ...]:
         bounds.append((off, size))
         off += size
     result = tuple(bounds)
-    if fastpath.plans_enabled():
-        if len(_CHUNK_CACHE) > 1 << 14:
-            _CHUNK_CACHE.clear()
-        _CHUNK_CACHE[(count, parts)] = result
+    if len(_CHUNK_CACHE) > 1 << 14:
+        _CHUNK_CACHE.clear()
+    _CHUNK_CACHE[(count, parts)] = result
     return result
 
 

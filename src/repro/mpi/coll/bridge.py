@@ -121,7 +121,7 @@ def negotiated_descriptor(comm, info: Optional[HeteroInfo] = None):
                      for v in info.vendors)
     comm._hetero_desc = desc
     if comm.rank == 0:
-        fastpath.STATS.note_negotiation()
+        fastpath.STATS.add("negotiations")
     return desc
 
 
@@ -254,7 +254,7 @@ def _fold_leaders(comm, island, info: HeteroInfo, buf, count: int, dt, op,
                         buf, count, op)
     from repro.mpi.compute import local_copy
     local_copy(ctx, seg(buf, 0, count), acc)
-    fastpath.STATS.note_bridge(hops)
+    fastpath.STATS.add("bridge_hops", hops)
     _span(ctx, t0, label, count * dt.itemsize * hops)
 
 
@@ -351,7 +351,7 @@ def _rail_allreduce(comm, island, info: HeteroInfo, recvbuf, count: int,
         comm, info, wire, lambda j: _host_wire(ctx, recvbuf, block),
         block, dt, rail=island.rank)
     acc = _fold_ordered(ctx, island, info, mine, remote, recvbuf, block, op)
-    fastpath.STATS.note_bridge(hops)
+    fastpath.STATS.add("bridge_hops", hops)
     _span(ctx, t0, "bridge:allreduce:hop", block * nb * hops)
 
     # phase 3: native island allgather re-assembles the folded blocks
@@ -381,7 +381,7 @@ def bridge_bcast(pipeline, call) -> None:
             comm.Send(wire, info.islands[j][0], tag=_TAG + j,
                       count=count, datatype=dt)
             hops += 1
-        fastpath.STATS.note_bridge(hops)
+        fastpath.STATS.add("bridge_hops", hops)
     elif island.rank == 0 and info.my_island != root_island:
         comm.Recv(seg(buf, 0, count), source=call.root,
                   tag=_TAG + info.my_island, count=count, datatype=dt)
@@ -447,7 +447,7 @@ def bridge_allgather(pipeline, call) -> None:
                           count=len(info.islands[k]) * count, datatype=dt)
             aggs[j] = scratch
             hops += 1
-        fastpath.STATS.note_bridge(hops)
+        fastpath.STATS.add("bridge_hops", hops)
         _span(ctx, t0, "bridge:allgather:hop",
               (comm.size - len(info.islands[k])) * count * nb)
 

@@ -206,6 +206,13 @@ def _span(ctx, t0: float, label: str, nbytes: int = 0) -> None:
         ctx.trace.record("hier", t0, ctx.now, nbytes=nbytes, label=label)
 
 
+def _note(chunks: int, stripe_ops: int) -> None:
+    """Count one plan execution's pipelined chunks and inter-node
+    stripe collectives (the per-NIC flows)."""
+    fastpath.STATS.add("hier_chunks", chunks)
+    fastpath.STATS.add("hier_stripe_ops", stripe_ops)
+
+
 # ---------------------------------------------------------------------------
 # the executors
 # ---------------------------------------------------------------------------
@@ -283,7 +290,7 @@ def hier_allreduce(pipeline, call) -> None:
             topo.local.Allgather(IN_PLACE, seg(recvbuf, coff, chunk),
                                  count=block, datatype=dt)
             _span(ctx, t0, "hier:allreduce:intra:allgather", chunk * nb)
-        fastpath.STATS.note_hier(depth * p, stripe_ops)
+        _note(depth * p, stripe_ops)
         return
     nchunks = max(1, min(L * depth, count))
     bounds = chunk_bounds(count, nchunks)
@@ -309,7 +316,7 @@ def hier_allreduce(pipeline, call) -> None:
             topo.local.Bcast(seg(recvbuf, off, sz), root=ci % L,
                              count=sz, datatype=dt)
     _span(ctx, t0, "hier:allreduce:intra:bcast", count * nb)
-    fastpath.STATS.note_hier(nchunks, stripe_ops)
+    _note(nchunks, stripe_ops)
 
 
 def hier_bcast(pipeline, call) -> None:
@@ -384,7 +391,7 @@ def hier_bcast(pipeline, call) -> None:
             topo.local.Allgather(IN_PLACE, seg(buf, coff, chunk),
                                  count=block, datatype=dt)
             _span(ctx, t0, "hier:bcast:intra:fanout", chunk * nb)
-        fastpath.STATS.note_hier(depth * p, stripe_ops)
+        _note(depth * p, stripe_ops)
         return
     nchunks = max(1, min(L * depth, count))
     bounds = chunk_bounds(count, nchunks)
@@ -423,7 +430,7 @@ def hier_bcast(pipeline, call) -> None:
             topo.local.Bcast(seg(buf, off, sz), root=ci % L,
                              count=sz, datatype=dt)
     _span(ctx, t0, "hier:bcast:intra:fanout", count * nb)
-    fastpath.STATS.note_hier(nchunks, stripe_ops)
+    _note(nchunks, stripe_ops)
 
 
 def hier_allgather(pipeline, call) -> None:
@@ -517,7 +524,7 @@ def hier_allgather(pipeline, call) -> None:
                            seg(g, goff, count))
                 goff += count
     _span(ctx, t0, "hier:allgather:reassemble", comm.size * count * nb)
-    fastpath.STATS.note_hier(L, stripe_ops)
+    _note(L, stripe_ops)
 
 
 def hier_reduce_scatter_block(pipeline, call) -> None:
@@ -570,7 +577,7 @@ def hier_reduce_scatter_block(pipeline, call) -> None:
                 local.Recv(seg(recvbuf, 0, count), source=owner, tag=i,
                            count=count, datatype=dt)
         _span(ctx, t0, "hier:reduce_scatter:intra:deliver", count * nb)
-        fastpath.STATS.note_hier(L, 1)
+        _note(L, 1)
         return
     bounds = chunk_bounds(total, L)
     stripe_ops = 0
@@ -596,7 +603,7 @@ def hier_reduce_scatter_block(pipeline, call) -> None:
     _span(ctx, t0, "hier:reduce_scatter:intra:fanout", total * nb)
     local_copy(ctx, seg(recvbuf, 0, count),
                seg(staging, comm.rank * count, count))
-    fastpath.STATS.note_hier(L, stripe_ops)
+    _note(L, stripe_ops)
 
 
 #: execute-stage dispatch: CollectiveCall.coll -> executor.  Vector

@@ -167,7 +167,7 @@ class Communicator:
         revoking the communicator engine-wide so every survivor agrees.
         The dying rank itself keeps its :class:`RankKilledError`.
         """
-        if not fastpath.elastic_enabled():
+        if not fastpath.gate_enabled("elastic"):
             return run()
         engine = self.ctx.engine
         if engine.is_revoked(self.ctx_id):
@@ -262,7 +262,7 @@ class Communicator:
                 raise MPICommError(
                     f"Comm_shrink survivor views disagree: {sorted(views)}")
             gen = engine.shrink_generation(ctx_id)
-            fastpath.STATS.note_shrink()
+            fastpath.STATS.add("comm_shrinks")
             return gen
 
         gen = slot.exchange(survivors.index(self.ctx.rank), survivors,

@@ -8,8 +8,8 @@ wire tracker once it has matched, and a CTS-completion flows back so
 the sender's ``wait`` learns when its buffer was drained — which lets
 nonblocking exchange patterns complete without a progress thread.
 
-With ``MPIX_ZERO_COPY`` on, payloads whose protocol already guarantees
-the sender cannot reuse the buffer early travel as *borrowed views*
+Payloads whose protocol already guarantees the sender cannot reuse
+the buffer early travel as *borrowed views*
 (:class:`~repro.sim.mailbox.PayloadLease`) instead of snapshots:
 
 * **blocking rendezvous sends** — the receiver copies the payload out
@@ -22,9 +22,9 @@ the sender cannot reuse the buffer early travel as *borrowed views*
   users of ``Sendrecv`` — mostly find the view already consumed.
 
 Aliased buffers (a send segment overlapping the receive segment of the
-same call) and patched mailboxes (fault injection) always force the
-copying path.  Virtual times and received bytes are bit-identical with
-the gate on or off.
+same call), patched mailboxes (fault injection) and nonblocking sends
+always take the copying path.  The handoff never changes virtual
+times or received bytes.
 
 Device buffers ride the GPU-direct path (device-to-device alpha/beta,
 plus a per-message GDR surcharge) when the runtime is GPU-aware, or are
@@ -80,14 +80,12 @@ class P2PEndpoint:
 
     def _path_for(self, peer_world: int, device_involved: bool,
                   bidir: bool = False):
-        if fastpath.plans_enabled():
-            key = (peer_world, device_involved, bidir)
-            cached = self._path_cache.get(key)
-            if cached is None:
-                cached = self._path_cache[key] = \
-                    self._path_for_uncached(peer_world, device_involved, bidir)
-            return cached
-        return self._path_for_uncached(peer_world, device_involved, bidir)
+        key = (peer_world, device_involved, bidir)
+        cached = self._path_cache.get(key)
+        if cached is None:
+            cached = self._path_cache[key] = \
+                self._path_for_uncached(peer_world, device_involved, bidir)
+        return cached
 
     def _path_for_uncached(self, peer_world: int, device_involved: bool,
                            bidir: bool = False):
@@ -107,7 +105,7 @@ class P2PEndpoint:
             beta = path.bottleneck.effective_beta(beta)
         if bidir and path.bottleneck.duplex_factor < 2.0:
             beta *= path.bottleneck.duplex_factor / 2.0
-        return (path, resources, alpha, beta,
+        return (resources, alpha, beta,
                 self.config.eager_threshold(path.scope))
 
     def _ctrl_latency(self, alpha: float) -> float:
@@ -194,13 +192,12 @@ class P2PEndpoint:
         if device and not cfg.gpu_direct:
             self._stage_to_host(nbytes)
         t0 = ctx.clock.advance(cfg.send_overhead_us)
-        path, resources, alpha, beta, eager_max = self._path_for(
+        resources, alpha, beta, eager_max = self._path_for(
             dst_world, device and cfg.gpu_direct, bidir=bidir)
         seq = next(_seq)
         eager = nbytes <= eager_max
         if eager:
-            arrival = ctx.engine.wires.book(resources, t0, nbytes, beta, alpha,
-                                            path.bottleneck.duplex_factor)
+            arrival = ctx.engine.wires.book(resources, t0, nbytes, beta, alpha)
             # eager receives never re-price the wire, so skip the
             # rendezvous-only pricing keys
             meta = {"kind": _KIND_EAGER, "ctx_id": self.ctx_id, "seq": seq,
@@ -209,16 +206,15 @@ class P2PEndpoint:
             arrival = t0 + self._ctrl_latency(alpha)  # RTS control latency
             meta = {"kind": _KIND_RTS, "ctx_id": self.ctx_id, "seq": seq,
                     "device": device, "dtname": dt.name,
-                    "resources": resources, "beta": beta, "alpha": alpha,
-                    "duplex": path.bottleneck.duplex_factor}
+                    "resources": resources, "beta": beta, "alpha": alpha}
         # -- zero-copy handoff decision (never affects virtual time) --
         zc_wanted = defer_eager if eager else blocking
         lease: Optional[PayloadLease] = None
-        if zc_wanted and fastpath.zero_copy_enabled():
+        if zc_wanted:
             aliased = (recv_guard is not None
                        and np.may_share_memory(send_view, recv_guard))
             if aliased or ctx.mailbox_of(dst_world).patched:
-                fastpath.STATS.note_copy_forced()
+                fastpath.STATS.add("copies_forced")
                 payload = send_view.copy()
             else:
                 lease = PayloadLease()
@@ -254,9 +250,9 @@ class P2PEndpoint:
                 # the receiver consumed before posting the CTS, so this
                 # is a no-op reclaim; count the snapshot we never took
                 if lease.materialize(msg):  # pragma: no cover - defensive
-                    fastpath.STATS.note_copy_forced()
+                    fastpath.STATS.add("copies_forced")
                 else:
-                    fastpath.STATS.note_copy_elided()
+                    fastpath.STATS.add("copies_elided")
             return status
 
         return status, Request(complete, kind="send"), msg
@@ -326,7 +322,7 @@ class P2PEndpoint:
             depart = max(msg.depart_us, t_ready + self._ctrl_latency(msg.meta["alpha"]))
             arrival = ctx.engine.wires.book(
                 msg.meta["resources"], depart, msg.nbytes, msg.meta["beta"],
-                msg.meta["alpha"], msg.meta["duplex"])
+                msg.meta["alpha"])
             ctx.clock.merge(arrival)
             cts = Message(src=ctx.rank, dst=msg.src, tag=msg.tag, data=None,
                           depart_us=t_ready, arrival_us=arrival, nbytes=0,
@@ -411,7 +407,7 @@ class P2PEndpoint:
             # deferred eager snapshot: reclaim the buffer before the
             # caller can touch it again
             if smsg.meta["lease"].materialize(smsg):
-                fastpath.STATS.note_copy_forced()
+                fastpath.STATS.add("copies_forced")
             else:
-                fastpath.STATS.note_copy_elided()
+                fastpath.STATS.add("copies_elided")
         return status

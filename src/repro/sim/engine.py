@@ -92,8 +92,8 @@ class CollectiveSlot:
         party's own thread after the result is computed; the call only
         returns once every party has consumed (and ``cleanup(result)``
         has run, on the last consumer's thread).  All parties of one
-        exchange must agree on whether they pass ``consume`` — the
-        zero-copy gate is process-wide, which guarantees that.
+        exchange must agree on whether they pass ``consume`` (every
+        built-in CCL collective passes one on every rank).
 
         If ``compute`` raises, the exception is re-raised on **every**
         party (not just the computing one): the waiters are released
@@ -421,9 +421,8 @@ class Engine:
         # staging pools this one is locked (import is deferred to keep
         # sim below core in the layering)
         from repro.core.plan import BufferPool
-        self.scratch_pool = BufferPool(
-            threadsafe=True,
-            reuse_note=fastpath.STATS.note_accumulator_reuse)
+        self.scratch_pool = BufferPool(threadsafe=True,
+                                       counter="accumulator_reuses")
 
     # -- lookups -----------------------------------------------------------
 
@@ -544,7 +543,7 @@ class Engine:
                 return
             self._revoked.add(ctx_id)
         from repro import fastpath
-        fastpath.STATS.note_revoke()
+        fastpath.STATS.add("comm_revokes")
         with self._slots_lock:
             doomed = []
             for key in [k for k in self._slots
@@ -631,7 +630,9 @@ class Engine:
             sched.run_ranks([(ctx.rank, (lambda c=ctx: runner(c)))
                              for ctx in self.contexts])
             from repro import fastpath
-            fastpath.STATS.note_coop_run(sched.parks, sched.switches)
+            fastpath.STATS.add("coop_runs")
+            fastpath.STATS.add("coop_parks", sched.parks)
+            fastpath.STATS.add("coop_switches", sched.switches)
         else:
             threads = [threading.Thread(target=runner, args=(ctx,),
                                         name=f"rank{ctx.rank}", daemon=True)

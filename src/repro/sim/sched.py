@@ -161,7 +161,7 @@ class CoopScheduler:
         self._local = threading.local()
         self._active = 0        # fibers currently holding a run token
         self._unfinished = 0
-        #: per-run statistics, aggregated into ``fastpath.STATS`` by the
+        #: per-run statistics, added to ``fastpath.STATS`` by the
         #: engine after each run (kept lock-free here: the scheduler
         #: lock already serializes every transition).
         self.parks = 0

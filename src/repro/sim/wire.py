@@ -45,8 +45,7 @@ class WireTracker:
         self._lock = threading.Lock()
 
     def book(self, resources: Sequence[Resource], depart_us: float,
-             nbytes: int, beta_bpus: float, alpha_us: float,
-             duplex_factor: float = 2.0) -> float:
+             nbytes: int, beta_bpus: float, alpha_us: float) -> float:
         """Schedule one transfer; returns its arrival time.
 
         Args:
@@ -56,9 +55,6 @@ class WireTracker:
             beta_bpus: path bandwidth, bytes/us (callers pre-apply any
                 duplex sharing for flows known to be bidirectional).
             alpha_us: path latency added after the wire time.
-            duplex_factor: accepted for caller convenience; not used
-                here — see the module docstring for why duplex is
-                priced by the protocol layers, not the tracker.
         """
         if nbytes < 0:
             raise ValueError(f"negative transfer size {nbytes}")

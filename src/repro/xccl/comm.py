@@ -66,7 +66,7 @@ class XCCLComm:
         self._recv_seq: Dict[int, itertools.count] = defaultdict(lambda: itertools.count(1))
         self._shape: Optional[CommShape] = None
         #: compiled chunk geometry (counts/displs tuples) reused by the
-        #: send-recv collectives when the plan fast path is on.
+        #: send-recv collectives.
         self.plan_geometry: Dict[Tuple, Tuple] = {}
         #: compiled p2p route pricing per (peer rank, bidir) — the
         #: size-independent (resources, beta, alpha base, store-forward
@@ -103,8 +103,9 @@ class XCCLComm:
 
     def next_group_key(self) -> Tuple:
         """Rendezvous key for the next fused group exchange.  A
-        counter separate from :meth:`next_coll_key` so toggling group
-        fusion never perturbs the built-in collectives' key stream."""
+        counter separate from :meth:`next_coll_key` so whether a group
+        takes the rendezvous never perturbs the built-in collectives'
+        key stream."""
         return ("xccl-group", self.uid, next(self._group_seq))
 
     def next_send_seq(self, dst_rank: int) -> int:

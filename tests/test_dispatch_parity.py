@@ -4,15 +4,13 @@ The staged pipeline (`repro.core.dispatch`) replaced the hand-written
 per-collective method triplets; these tests pin the refactor's
 contract:
 
-* all 12 collectives × {NCCL, RCCL, HCCL, MSCCL} × all 8 combinations
-  of the three fast-path gates produce bit-identical payloads AND
-  virtual times — the all-gates-off combo is the direct, unoptimized
-  path, so every other combo is compared against it;
-* the MPI-algorithm fallback route (PURE_MPI mode) holds the same
-  invariant;
+* all 12 collectives × {NCCL, RCCL, HCCL, MSCCL} × {HYBRID, PURE_XCCL,
+  PURE_MPI} reproduce the golden payload and virtual-time digests
+  (``tests/golden_digests.json``) bit for bit, under every combination
+  of the six gates;
 * the cooperative rank scheduler (``MPIX_COOP_SCHED``) produces the
   same payloads and virtual times as the thread scheduler, on both
-  routes, under every gate combination;
+  routes;
 * the §3.2 capability checks live in exactly one place
   (``CollectivePipeline.capability``) and still produce the paper's
   fallbacks: HCCL is float-only, no CCL does double-complex;
@@ -29,109 +27,20 @@ import numpy as np
 import pytest
 
 from repro import fastpath
-from repro.core import DispatchMode, runtime
+from repro.core import runtime
 from repro.core.dispatch import REGISTRY, CollectivePipeline
 from repro.core.fallback import FallbackReason, Route
 from repro.mpi.ops import SUM
+from tests import golden
+from tests.golden import STACK_IDS
 
-#: (system, backend, ranks) — one per CCL the paper ports.  Single-node
-#: runs are exactly reproducible, which is what makes bit-comparison
-#: valid.
-STACKS = [
-    ("thetagpu", None, 4),      # NCCL
-    ("mri", None, 2),           # RCCL
-    ("voyager", None, 4),       # HCCL
-    ("thetagpu", "msccl", 4),   # MSCCL
-]
-
-#: all 8 combinations of (plan_cache, group_fusion, zero_copy).
-GATE_COMBOS = list(itertools.product([False, True], repeat=3))
-
-N = 13  # odd per-rank count exercises uneven chunk geometry
+#: the six gates, in GATE_ENV order: 2^6 = 64 combinations.
+ALL_GATES = tuple(fastpath.GATE_ENV)
 
 
-def _vec_geometry(p):
-    counts = [r + 1 for r in range(p)]
-    displs = [sum(counts[:r]) for r in range(p)]
-    return counts, displs
-
-
-def _twelve_collectives_body(mpx):
-    """Run all 12 registry collectives once; record payload bytes and
-    the virtual clock after each."""
-    comm = mpx.COMM_WORLD
-    ctx = comm.ctx
-    p, rank = comm.size, comm.rank
-    log = []
-
-    def snap(buf):
-        log.append((buf.array.tobytes(), ctx.now))
-
-    base = np.arange(N * p, dtype=np.float32) + rank
-    send = ctx.device.zeros(N * p, dtype=np.float32)
-    send.array[:] = base
-    recv = ctx.device.zeros(N * p, dtype=np.float32)
-
-    comm.Allreduce(send.view(0, N), recv.view(0, N), SUM)
-    snap(recv)
-    comm.Bcast(recv.view(0, N), root=0)
-    snap(recv)
-    comm.Reduce(send.view(0, N), recv.view(0, N), SUM, 0)
-    snap(recv)
-    comm.Allgather(send.view(0, N), recv.view(0, N * p))
-    snap(recv)
-    comm.Alltoall(send, recv)
-    snap(recv)
-    comm.Reduce_scatter_block(send, recv.view(0, N), SUM)
-    snap(recv)
-    comm.Gather(send.view(0, N), recv.view(0, N * p), root=0)
-    snap(recv)
-    comm.Scatter(send, recv.view(0, N), root=0)
-    snap(recv)
-
-    counts, displs = _vec_geometry(p)
-    total = sum(counts)
-    vsend = ctx.device.zeros(counts[rank], dtype=np.float32)
-    vsend.array[:] = rank * 10.0 + np.arange(counts[rank])
-    vrecv = ctx.device.zeros(total, dtype=np.float32)
-    comm.Allgatherv(vsend, vrecv, counts)
-    snap(vrecv)
-    comm.Gatherv(vsend, vrecv, counts, root=0)
-    snap(vrecv)
-    vroot = ctx.device.zeros(total, dtype=np.float32)
-    vroot.array[:] = np.arange(total, dtype=np.float32)
-    comm.Scatterv(vroot, counts, vrecv.view(0, counts[rank]), root=0)
-    snap(vrecv)
-
-    a2a_counts = [((rank + r) % 3) + 1 for r in range(p)]
-    a2a_displs = [sum(a2a_counts[:r]) for r in range(p)]
-    asend = ctx.device.zeros(sum(a2a_counts), dtype=np.float32)
-    asend.array[:] = rank * 100.0 + np.arange(sum(a2a_counts))
-    arecv = ctx.device.zeros(sum(a2a_counts), dtype=np.float32)
-    comm.Alltoallv(asend, a2a_counts, arecv, a2a_counts)
-    snap(arecv)
-
-    return log
-
-
-def _run_under_gates(combo, body, coop=False, **kw):
-    prev = fastpath.configure(plan_cache=combo[0], group_fusion=combo[1],
-                              zero_copy=combo[2], coop_sched=coop)
-    try:
-        return runtime.run(body, nodes=1, **kw)
-    finally:
-        fastpath.configure(**prev)
-
-
-def _assert_bit_identical(baseline, candidate, combo, nranks):
-    assert len(baseline) == len(candidate) == nranks
-    for rank, (a, b) in enumerate(zip(baseline, candidate)):
-        assert len(a) == len(b) == 12
-        for i, ((data_a, t_a), (data_b, t_b)) in enumerate(zip(a, b)):
-            assert data_a == data_b, \
-                f"gates={combo}: rank {rank} payload {i} differs"
-            assert t_a == t_b, \
-                f"gates={combo}: rank {rank} clock after op {i} differs"
+def _assert_golden_under(name, combos):
+    for combo in combos:
+        golden.assert_golden(name, **dict(zip(ALL_GATES, combo)))
 
 
 def test_registry_covers_all_twelve():
@@ -145,74 +54,56 @@ def test_registry_covers_all_twelve():
         assert callable(spec.ccl) and callable(spec.mpi)
 
 
-@pytest.mark.parametrize("system,backend,nranks", STACKS,
-                         ids=[f"{s}-{b or 'native'}" for s, b, _ in STACKS])
-def test_all_collectives_all_gates_bit_identical_ccl(system, backend, nranks):
-    """12 collectives through the CCL route: payloads and virtual times
-    bit-identical across all 8 gate combinations (all-off == the
-    pre-refactor direct path)."""
-    results = {}
-    for combo in GATE_COMBOS:
-        results[combo] = _run_under_gates(
-            combo, _twelve_collectives_body, system=system,
-            ranks_per_node=nranks, backend=backend,
-            mode=DispatchMode.PURE_XCCL)
-    baseline = results[(False, False, False)]
-    for combo in GATE_COMBOS[1:]:
-        _assert_bit_identical(baseline, results[combo], combo, nranks)
+@pytest.mark.parametrize("mode", golden.MODES)
+@pytest.mark.parametrize("sid", STACK_IDS)
+def test_all_collectives_match_golden(sid, mode):
+    """12 collectives on every stack and routing mode: payloads and
+    virtual times match the golden digests."""
+    golden.assert_golden(f"twelve/{sid}/{mode}")
 
 
-@pytest.mark.parametrize("system,backend,nranks", STACKS,
-                         ids=[f"{s}-{b or 'native'}" for s, b, _ in STACKS])
-def test_coop_scheduler_bit_identical_ccl(system, backend, nranks):
+@pytest.mark.parametrize("sid", STACK_IDS)
+def test_all_collectives_all_gates_bit_identical_ccl(sid):
+    """12 collectives through the CCL route under all 64 combinations
+    of the six gates: payloads and virtual times match the golden
+    digests (every gate is observational, a scheduling swap, or inert
+    off its trigger on a single-node, single-vendor job)."""
+    _assert_golden_under(f"twelve/{sid}/pure_xccl",
+                         itertools.product([False, True], repeat=6))
+
+
+@pytest.mark.parametrize("sid", STACK_IDS)
+def test_coop_scheduler_bit_identical_ccl(sid):
     """The cooperative scheduler (``MPIX_COOP_SCHED``) against the
-    thread scheduler: payloads and virtual times bit-identical for all
-    12 collectives under every fast-path gate combination.  Scheduling
-    may only change *when wall-clock work happens*, never what a
-    collective computes or costs."""
-    baseline = _run_under_gates(
-        (False, False, False), _twelve_collectives_body, system=system,
-        ranks_per_node=nranks, backend=backend, mode=DispatchMode.PURE_XCCL)
-    for combo in GATE_COMBOS:
-        candidate = _run_under_gates(
-            combo, _twelve_collectives_body, coop=True, system=system,
-            ranks_per_node=nranks, backend=backend,
-            mode=DispatchMode.PURE_XCCL)
-        _assert_bit_identical(baseline, candidate, combo + ("coop",), nranks)
+    golden thread-scheduler digests: payloads and virtual times
+    bit-identical for all 12 collectives in every routing mode.
+    Scheduling may only change *when wall-clock work happens*, never
+    what a collective computes or costs."""
+    for mode in golden.MODES:
+        golden.assert_golden(f"twelve/{sid}/{mode}", coop_sched=True)
 
 
 def test_coop_scheduler_bit_identical_mpi_fallback():
     """The same thread-vs-fiber invariant on the MPI-algorithm route,
     whose point-to-point protocols block far more often per call."""
-    baseline = _run_under_gates(
-        (False, False, False), _twelve_collectives_body, system="thetagpu",
-        ranks_per_node=4, mode=DispatchMode.PURE_MPI)
-    for combo in GATE_COMBOS:
-        candidate = _run_under_gates(
-            combo, _twelve_collectives_body, coop=True, system="thetagpu",
-            ranks_per_node=4, mode=DispatchMode.PURE_MPI)
-        _assert_bit_identical(baseline, candidate, combo + ("coop",), 4)
+    for coop in (False, True):
+        golden.assert_golden("twelve/thetagpu-native/pure_mpi",
+                             coop_sched=coop)
 
 
 def test_all_collectives_all_gates_bit_identical_mpi_fallback():
-    """The same invariant on the MPI-algorithm fallback route."""
-    results = {}
-    for combo in GATE_COMBOS:
-        results[combo] = _run_under_gates(
-            combo, _twelve_collectives_body, system="thetagpu",
-            ranks_per_node=4, mode=DispatchMode.PURE_MPI)
-    baseline = results[(False, False, False)]
-    for combo in GATE_COMBOS[1:]:
-        _assert_bit_identical(baseline, results[combo], combo, 4)
+    """The same 64-combination invariant on the MPI-algorithm route."""
+    _assert_golden_under("twelve/thetagpu-native/pure_mpi",
+                         itertools.product([False, True], repeat=6))
 
 
 def test_ccl_and_mpi_routes_agree_on_payloads():
     """Both execute routes compute the same collectives: payload bytes
     (not times) must agree between PURE_XCCL and PURE_MPI."""
-    xccl = runtime.run(_twelve_collectives_body, system="thetagpu", nodes=1,
-                       ranks_per_node=4, mode=DispatchMode.PURE_XCCL)
-    mpi = runtime.run(_twelve_collectives_body, system="thetagpu", nodes=1,
-                      ranks_per_node=4, mode=DispatchMode.PURE_MPI)
+    xccl = runtime.run(golden.twelve_collectives_body, system="thetagpu",
+                       nodes=1, ranks_per_node=4, mode="pure_xccl")
+    mpi = runtime.run(golden.twelve_collectives_body, system="thetagpu",
+                      nodes=1, ranks_per_node=4, mode="pure_mpi")
     for rank, (a, b) in enumerate(zip(xccl, mpi)):
         for i, ((data_a, _), (data_b, _)) in enumerate(zip(a, b)):
             assert data_a == data_b, f"rank {rank} payload {i} differs"
@@ -363,11 +254,9 @@ def _hier_collectives_body(mpx):
     return log
 
 
-def _run_hier(hier, coop=False, combo=(True, True, True)):
+def _run_hier(hier, coop=False, trace=False):
     from repro.hw.systems import make_system
-    prev = fastpath.configure(plan_cache=combo[0], group_fusion=combo[1],
-                              zero_copy=combo[2], coop_sched=coop,
-                              hier_pipe=hier)
+    prev = fastpath.configure(coop_sched=coop, hier_pipe=hier, trace=trace)
     fastpath.STATS.reset()
     try:
         cluster = make_system("thetagpu", 2, nics=4)
@@ -380,22 +269,13 @@ def _run_hier(hier, coop=False, combo=(True, True, True)):
 
 def test_hier_gate_inert_single_node():
     """On one node ``MPIX_HIER_PIPE`` must be provably inert: payloads
-    AND virtual times bit-identical to the gate-off run, under every
-    combination of the other three gates."""
-    baseline = _run_under_gates((False, False, False),
-                                _twelve_collectives_body,
-                                system="thetagpu", ranks_per_node=4)
-    prev = fastpath.configure(hier_pipe=True)
-    try:
-        for combo in GATE_COMBOS:
-            fastpath.STATS.reset()
-            candidate = _run_under_gates(combo, _twelve_collectives_body,
-                                         system="thetagpu", ranks_per_node=4)
+    AND virtual times match the golden (gate-off) digests in every
+    routing mode, under either scheduler."""
+    for mode in golden.MODES:
+        for coop in (False, True):
+            golden.assert_golden(f"twelve/thetagpu-native/{mode}",
+                                 hier_pipe=True, coop_sched=coop)
             assert fastpath.STATS.snapshot()["route_hier"] == 0
-            _assert_bit_identical(baseline, candidate,
-                                  combo + ("hier",), 4)
-    finally:
-        fastpath.configure(**prev)
 
 
 def test_hier_multi_node_payload_parity():
@@ -416,73 +296,86 @@ def test_hier_multi_node_payload_parity():
 def test_hier_multi_node_coop_bit_identical():
     """With the hierarchy gate on, the cooperative scheduler must agree
     with the thread scheduler to the bit — payloads and virtual
-    times — under every combination of the other gates."""
-    for combo in [(False, False, False), (True, True, True)]:
-        thread, _ = _run_hier(hier=True, combo=combo)
-        coop, _ = _run_hier(hier=True, coop=True, combo=combo)
+    times — with tracing off and on."""
+    for trace in (False, True):
+        thread, _ = _run_hier(hier=True, trace=trace)
+        coop, _ = _run_hier(hier=True, coop=True, trace=trace)
         for rank, (a, b) in enumerate(zip(thread, coop)):
             for i, ((da, ta), (db, tb)) in enumerate(zip(a, b)):
                 assert da == db, \
-                    f"gates={combo}: rank {rank} payload {i} differs"
+                    f"trace={trace}: rank {rank} payload {i} differs"
                 assert ta == tb, \
-                    f"gates={combo}: rank {rank} clock after op {i} differs"
-
-
-#: the full gate registry, in GATE_ENV order: 2^9 = 512 combinations.
-ALL_GATES = ("plan_cache", "group_fusion", "zero_copy", "trace",
-             "coop_sched", "hier_pipe", "hetero", "online_tune", "elastic")
-
-
-def _run_under_all_gates(combo):
-    prev = fastpath.configure(**dict(zip(ALL_GATES, combo)))
-    try:
-        return runtime.run(_twelve_collectives_body, system="thetagpu",
-                           nodes=1, ranks_per_node=4)
-    finally:
-        fastpath.configure(**prev)
-
-
-def _assert_all_gate_parity(combos):
-    baseline = _run_under_all_gates((False,) * 9)
-    for combo in combos:
-        candidate = _run_under_all_gates(combo)
-        _assert_bit_identical(baseline, candidate,
-                              dict(zip(ALL_GATES, combo)), 4)
+                    f"trace={trace}: rank {rank} clock after op {i} differs"
 
 
 def test_new_gates_inert_fast():
-    """Fast CI leg of the 2^9 matrix: the online tuner (below its
-    warm-up — each collective runs once per size here) and the elastic
-    error model (no faults injected) must be provably inert, alone and
-    together, under either scheduler.  Payloads AND virtual times."""
-    _assert_all_gate_parity([
-        (True, True, True, False, coop, False, False, tune, elastic)
-        for tune in (False, True)
-        for elastic in (False, True)
-        for coop in (False, True)])
+    """Fast CI leg of the full gate matrix on the hybrid route: the
+    online tuner (below its warm-up — each collective runs once per
+    size here) and the elastic error model (no faults injected) must be
+    provably inert, alone and together, under either scheduler.
+    Payloads AND virtual times."""
+    _assert_golden_under(
+        "twelve/thetagpu-native/hybrid",
+        [(False, coop, False, False, tune, elastic)
+         for tune in (False, True)
+         for elastic in (False, True)
+         for coop in (False, True)])
 
 
 @pytest.mark.slow
-def test_all_nine_gates_bit_identical_full():
-    """The full 2^9 = 512 gate matrix: every combination of all nine
-    MPIX_* gates produces payloads and virtual times bit-identical to
-    the all-off run on a single-node hybrid job.  Every gate is either
-    pure wall-clock (plan cache, fusion, zero copy), observational
-    (trace), an execution-model swap (coop scheduler), inert off its
+def test_all_six_gates_bit_identical_full():
+    """The full 2^6 = 64 gate matrix over every golden case: every
+    combination of the six MPIX_* gates reproduces the golden payload
+    and virtual-time digests.  Every gate is either observational
+    (trace), an execution-model swap (coop scheduler), or inert off its
     trigger (hier: one node; hetero: one vendor; online tuner: below
     warm-up; elastic: no faults) — so the whole product is inert."""
-    _assert_all_gate_parity(
-        [c for c in itertools.product([False, True], repeat=9)
-         if any(c)])
+    for name in golden.CASES:
+        _assert_golden_under(name, itertools.product([False, True], repeat=6))
 
 
 def test_configure_restores():
     """fastpath.configure returns the previous states and restores."""
     before = fastpath.gates()
-    prev = fastpath.configure(plan_cache=False, zero_copy=False)
+    prev = fastpath.configure(trace=True, elastic=False)
     assert prev == before
-    assert not fastpath.plans_enabled()
-    assert not fastpath.zero_copy_enabled()
-    assert fastpath.fusion_enabled() == before["group_fusion"]
+    assert fastpath.gate_enabled("trace")
+    assert not fastpath.gate_enabled("elastic")
+    assert fastpath.gate_enabled("hetero") == before["hetero"]
     fastpath.configure(**prev)
     assert fastpath.gates() == before
+
+
+@pytest.mark.parametrize("retired", ["plan_cache", "group_fusion",
+                                     "zero_copy", "no_such_gate"])
+def test_configure_rejects_unknown_gates(retired):
+    """Retired and misspelled gate names are errors, and a rejected
+    call changes nothing."""
+    before = fastpath.gates()
+    with pytest.raises(TypeError):
+        fastpath.configure(trace=not before["trace"], **{retired: False})
+    assert fastpath.gates() == before
+
+
+def test_gate_registry_is_the_six_gates():
+    assert fastpath.GATE_ENV == {
+        "trace": "MPIX_TRACE", "coop_sched": "MPIX_COOP_SCHED",
+        "hier_pipe": "MPIX_HIER_PIPE", "hetero": "MPIX_HETERO",
+        "online_tune": "MPIX_ONLINE_TUNE", "elastic": "MPIX_ELASTIC"}
+
+
+def test_stats_snapshot_declares_every_counter():
+    """``STATS.snapshot()`` returns exactly the declared counter names,
+    every one 0 after ``reset()`` — consumers index names directly."""
+    fastpath.STATS.add("hits", 3)
+    fastpath.STATS.reset()
+    snap = fastpath.STATS.snapshot()
+    assert list(snap) == list(fastpath.COUNTERS)
+    assert set(snap.values()) == {0}
+    fastpath.STATS.add("route_mpi")
+    fastpath.STATS.add("hier_chunks", 5)
+    snap = fastpath.STATS.snapshot()
+    assert (snap["route_mpi"], snap["hier_chunks"]) == (1, 5)
+    with pytest.raises(KeyError):
+        fastpath.STATS.add("no_such_counter")
+    fastpath.STATS.reset()

@@ -84,8 +84,8 @@ class TestElasticRecovery:
             assert np.all(payload == expect)
         # Engine construction zeroes the process-global counters, so
         # these are this run's counts: one comm revoked, one shrink
-        assert fastpath.STATS.comm_revokes == 1
-        assert fastpath.STATS.comm_shrinks == 1
+        assert fastpath.STATS.snapshot()["comm_revokes"] == 1
+        assert fastpath.STATS.snapshot()["comm_shrinks"] == 1
 
     def test_64_rank_recovery_bit_identical_to_dense_run(self):
         """The ISSUE acceptance scenario: 64 ranks under the coop
@@ -209,7 +209,7 @@ class TestRevokeSemantics:
             fastpath.configure(**prev)
         assert results == [True] * 4
         # 4 ranks x 2 calls each, deduplicated to one revocation
-        assert fastpath.STATS.comm_revokes == 1
+        assert fastpath.STATS.snapshot()["comm_revokes"] == 1
 
     def test_shrink_without_failure_is_identity_shaped(self, thetagpu1):
         """Revoke with no deaths: shrink keeps all ranks but yields a

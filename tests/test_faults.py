@@ -221,8 +221,6 @@ class TestDerivedCommDegradation:
         """With an injector installed every mailbox is patched, so the
         zero-copy handoff must snapshot payloads (copies_forced) — on
         the world comm AND on comms derived from it."""
-        prev = fastpath.configure(zero_copy=True)
-
         def body(ctx):
             comm = world_communicator(ctx)
             dup = comm.Dup()
@@ -234,31 +232,29 @@ class TestDerivedCommDegradation:
             half.Sendrecv(buf, peer, out, peer)
             return float(out.array[0])
 
-        try:
-            engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
-            # the delay never fires (nth=99) — only the patching matters
-            with_faults(engine, FaultPlan().delay(0, 1, 1.0, nth=99))
-            results = engine.run(body)
-        finally:
-            fastpath.configure(**prev)
+        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
+        # the delay never fires (nth=99) — only the patching matters
+        with_faults(engine, FaultPlan().delay(0, 1, 1.0, nth=99))
+        results = engine.run(body)
         # split comms: {0, 2} and {1, 3}; each rank receives its peer's
         # world rank
         assert results == [2.0, 3.0, 0.0, 1.0]
-        assert fastpath.STATS.copies_forced > 0
-        assert fastpath.STATS.copies_elided == 0
+        stats = fastpath.STATS.snapshot()
+        assert stats["copies_forced"] > 0
+        assert stats["copies_elided"] == 0
 
     def test_fusion_falls_back_unfused_on_faulted_dup_comm(self,
                                                            thetagpu1):
         """Grouped CCL send/recv on a Dup'd communicator under an
         injector: the fused whole-group exchange would bypass the
-        patched ``post``, so it must fall back to unfused messages —
-        counted, and still in program order."""
+        patched ``post``, so it must fall back to mailbox posts replayed
+        through the patch message by message — counted, and still in
+        program order."""
         import numpy as np
         from repro.mpi.datatypes import FLOAT
         from repro.xccl.api import (xcclGroupEnd, xcclGroupStart,
                                     xcclRecv, xcclSend,
                                     xcclStreamSynchronize)
-        prev = fastpath.configure(group_fusion=True)
 
         def body(ctx):
             world = world_communicator(ctx, mode=DispatchMode.PURE_XCCL)
@@ -281,16 +277,13 @@ class TestDerivedCommDegradation:
             xcclStreamSynchronize(xc)
             return [float(b.array[0]) for b in ins_]
 
-        try:
-            engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
-            with_faults(engine, FaultPlan().delay(0, 1, 1.0, nth=99))
-            results = engine.run(body)
-        finally:
-            fastpath.configure(**prev)
+        engine = Engine(thetagpu1, nranks=4, progress_timeout_s=5.0)
+        with_faults(engine, FaultPlan().delay(0, 1, 1.0, nth=99))
+        results = engine.run(body)
         for rank, vals in enumerate(results):
             src = (rank - 1) % 4
             assert vals == [10.0 * src, 10.0 * src + 1, 10.0 * src + 2]
-        assert fastpath.STATS.fusion_fallbacks > 0
+        assert fastpath.STATS.snapshot()["fusion_fallbacks"] > 0
 
     def test_hier_collective_on_split_comm_survives_injector(self):
         """A hierarchical (multi-node) allreduce on a Split-derived
@@ -298,7 +291,7 @@ class TestDerivedCommDegradation:
         pipelined hierarchy's sub-comms inherit the degraded (copying)
         transport."""
         from repro.hw.systems import make_system
-        prev = fastpath.configure(hier_pipe=True, zero_copy=True)
+        prev = fastpath.configure(hier_pipe=True)
 
         def body(ctx):
             comm = world_communicator(ctx)
@@ -318,4 +311,4 @@ class TestDerivedCommDegradation:
         finally:
             fastpath.configure(**prev)
         assert results == [16.0] * 16
-        assert fastpath.STATS.copies_forced > 0
+        assert fastpath.STATS.snapshot()["copies_forced"] > 0

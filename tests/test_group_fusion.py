@@ -1,11 +1,13 @@
-"""Fused group transport: bit-identity, ordering, counters, smoke.
+"""Fused group transport: golden parity, ordering, counters.
 
-``MPIX_GROUP_FUSION`` may only change how fast the simulator runs —
-never what it computes.  These tests pin that contract for every
-send-recv collective on every CCL stack: payload bytes AND virtual
-clocks are bit-identical with fusion on and off, group flushes keep
-per-(src, tag) FIFO order, and the fused paths actually engage
-(counters > 0) so a silent fallback cannot masquerade as a pass.
+Batching a CCL group into bulk mailbox posts or one whole-group
+rendezvous may only change how fast the simulator runs — never what it
+computes.  These tests pin that contract for every send-recv
+collective on every CCL stack: payload bytes AND virtual clocks match
+the golden digests captured from per-message delivery
+(``tests/golden_digests.json``), group flushes keep per-(src, tag)
+FIFO order, and the fused paths actually engage (counters > 0) so a
+silent fallback cannot masquerade as a pass.
 """
 
 from __future__ import annotations
@@ -15,110 +17,21 @@ import pytest
 
 from repro import fastpath
 from repro.core import runtime
-
-#: (system, backend, single-node ranks) — one per CCL the paper ports.
-#: Single-node runs are exactly reproducible (intra-node wires are
-#: direction-tagged per pair), which is what makes bit-comparison valid.
-STACKS = [
-    ("thetagpu", None, 4),      # NCCL
-    ("mri", None, 2),           # RCCL
-    ("voyager", None, 4),       # HCCL
-    ("thetagpu", "msccl", 4),   # MSCCL
-]
+from tests import golden
+from tests.golden import STACK_IDS
 
 
-def _sendrecv_body(mpx):
-    """Run every send-recv collective of §3.3 (routed through the CCL
-    grouped path by pure_xccl) with uneven counts including zeros;
-    record payload bytes and the virtual clock after each call."""
-    comm = mpx.COMM_WORLD
-    ctx = comm.ctx
-    p, r = comm.size, comm.rank
-    log = []
-
-    def snap(buf):
-        log.append((buf.array.tobytes(), ctx.now))
-
-    # alltoallv, uneven with zero blocks: count(i -> j) = (i + j) % 3
-    sc = [(r + j) % 3 for j in range(p)]
-    rc = [(i + r) % 3 for i in range(p)]
-    sd = [sum(sc[:j]) for j in range(p)]
-    rd = [sum(rc[:j]) for j in range(p)]
-    send = ctx.device.zeros(max(1, sum(sc)), dtype=np.float32)
-    send.array[:] = np.arange(send.array.size, dtype=np.float32) + 100 * r
-    recv = ctx.device.zeros(max(1, sum(rc)), dtype=np.float32)
-    for _ in range(2):
-        comm.Alltoallv(send, sc, recv, rc, sd, rd)
-        snap(recv)
-
-    # uniform alltoall (delegates to alltoallv)
-    s2 = ctx.device.zeros(3 * p, dtype=np.float32)
-    s2.array[:] = np.arange(3 * p, dtype=np.float32) + r
-    r2 = ctx.device.zeros(3 * p, dtype=np.float32)
-    comm.Alltoall(s2, r2, count=3)
-    snap(r2)
-
-    # allgatherv, uneven
-    counts = [i % 3 + 1 for i in range(p)]
-    displs = [sum(counts[:j]) for j in range(p)]
-    s3 = ctx.device.zeros(counts[r], dtype=np.float32)
-    s3.array[:] = r + 1
-    r3 = ctx.device.zeros(sum(counts), dtype=np.float32)
-    comm.Allgatherv(s3, r3, counts, displs)
-    snap(r3)
-
-    # rooted: gather / gatherv / scatter / scatterv
-    s4 = ctx.device.zeros(2, dtype=np.float32)
-    s4.array[:] = r + 1
-    r4 = ctx.device.zeros(2 * p, dtype=np.float32)
-    comm.Gather(s4, r4, root=0, count=2)
-    snap(r4)
-    r5 = ctx.device.zeros(sum(counts), dtype=np.float32)
-    comm.Gatherv(s3, r5, counts, displs, root=1 % p)
-    snap(r5)
-    s6 = ctx.device.zeros(2 * p, dtype=np.float32)
-    s6.array[:] = np.arange(2 * p, dtype=np.float32)
-    r6 = ctx.device.zeros(2, dtype=np.float32)
-    comm.Scatter(s6, r6, root=0, count=2)
-    snap(r6)
-    s7 = ctx.device.zeros(sum(counts), dtype=np.float32)
-    s7.array[:] = np.arange(sum(counts), dtype=np.float32) - r
-    r7 = ctx.device.zeros(counts[r], dtype=np.float32)
-    comm.Scatterv(s7, counts, r7, displs, root=0)
-    snap(r7)
-    return log
-
-
-@pytest.mark.parametrize("system,backend,rpn", STACKS,
-                         ids=[f"{s}-{b or 'native'}" for s, b, _ in STACKS])
-def test_bit_identical_fusion_on_vs_off(system, backend, rpn):
-    """Fusion on vs off: identical payload bytes AND virtual times for
-    every send-recv collective on every CCL stack."""
-    def run():
-        return runtime.run(_sendrecv_body, system=system, nodes=1,
-                           ranks_per_node=rpn, backend=backend,
-                           mode="pure_xccl")
-
-    prev = fastpath.set_fusion_enabled(False)
-    try:
-        off = run()
-        fastpath.set_fusion_enabled(True)
-        fastpath.STATS.reset()
-        on = run()
-        stats = fastpath.STATS.snapshot()
-    finally:
-        fastpath.set_fusion_enabled(prev)
-
+@pytest.mark.parametrize("sid", STACK_IDS)
+def test_bit_identical_fusion_on_vs_off(sid):
+    """Fused delivery (now the only transport) against the golden
+    digests of per-message delivery: identical payload bytes AND
+    virtual times for every send-recv collective on every CCL stack."""
+    golden.assert_golden(f"sendrecv/{sid}")
+    stats = fastpath.STATS.snapshot()  # the run's engine reset them
     # the fused transport must actually have engaged
     assert stats["fusion_flushes"] > 0
     assert stats["fusion_exchanges"] > 0
     assert stats["fusion_msgs"] > 0
-
-    assert len(on) == len(off) == rpn
-    for rank, (a, b) in enumerate(zip(off, on)):
-        for i, ((data_a, t_a), (data_b, t_b)) in enumerate(zip(a, b)):
-            assert data_a == data_b, f"rank {rank} payload {i} differs"
-            assert t_a == t_b, f"rank {rank} clock after op {i} differs"
 
 
 def test_group_flush_preserves_pair_fifo():
@@ -151,17 +64,12 @@ def test_group_flush_preserves_pair_fifo():
         xcclStreamSynchronize(xc)
         return [float(b.array[0]) for b in ins_]
 
-    for flag in (True, False):
-        prev = fastpath.set_fusion_enabled(flag)
-        try:
-            got = runtime.run(body, system="thetagpu", nodes=1,
-                              ranks_per_node=4, mode="pure_xccl")
-        finally:
-            fastpath.set_fusion_enabled(prev)
-        for rank, vals in enumerate(got):
-            src = (rank - 1) % 4
-            assert vals == [10.0 * src, 10.0 * src + 1, 10.0 * src + 2], \
-                f"fusion={flag}: rank {rank} recvs out of order: {vals}"
+    got = runtime.run(body, system="thetagpu", nodes=1, ranks_per_node=4,
+                      mode="pure_xccl")
+    for rank, vals in enumerate(got):
+        src = (rank - 1) % 4
+        assert vals == [10.0 * src, 10.0 * src + 1, 10.0 * src + 2], \
+            f"rank {rank} recvs out of order: {vals}"
 
 
 def test_rooted_groups_do_not_rendezvous():
@@ -176,49 +84,9 @@ def test_rooted_groups_do_not_rendezvous():
         comm.Gather(s, r, root=0, count=4)
         return True
 
-    prev = fastpath.set_fusion_enabled(True)
-    try:
-        fastpath.STATS.reset()
-        assert all(runtime.run(body, system="thetagpu", nodes=1,
-                               ranks_per_node=4, mode="pure_xccl"))
-        stats = fastpath.STATS.snapshot()
-    finally:
-        fastpath.set_fusion_enabled(prev)
+    fastpath.STATS.reset()
+    assert all(runtime.run(body, system="thetagpu", nodes=1,
+                           ranks_per_node=4, mode="pure_xccl"))
+    stats = fastpath.STATS.snapshot()
     assert stats["fusion_flushes"] > 0      # bulk transport engaged
     assert stats["fusion_exchanges"] == 0   # but no whole-group slot
-
-
-def test_fusion_smoke_benchmark_round():
-    """One fused benchmark round (tier-1-safe): the alltoallv loop from
-    ``make bench-fusion`` runs fused end to end with exchanges > 0, so
-    the fused path cannot silently regress to a fallback."""
-    import importlib.util
-    from pathlib import Path
-    path = Path(__file__).resolve().parent.parent / "benchmarks" \
-        / "bench_group_fusion.py"
-    spec = importlib.util.spec_from_file_location("bench_group_fusion", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-
-    prev = fastpath.set_fusion_enabled(True)
-    try:
-        fastpath.STATS.reset()
-        ops, results = bench._run_once(bench._alltoallv_body, 1, 8)
-        stats = fastpath.STATS.snapshot()
-    finally:
-        fastpath.set_fusion_enabled(prev)
-    assert ops > 0
-    assert len(results) == 8
-    assert stats["fusion_exchanges"] > 0
-    assert stats["fusion_fallbacks"] == 0
-    assert stats["fusion_msgs"] >= stats["fusion_flushes"]
-
-
-def test_fusion_toggle_restores():
-    prev = fastpath.set_fusion_enabled(False)
-    try:
-        assert not fastpath.fusion_enabled()
-        fastpath.set_fusion_enabled(True)
-        assert fastpath.fusion_enabled()
-    finally:
-        fastpath.set_fusion_enabled(prev)

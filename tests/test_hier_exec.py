@@ -151,10 +151,7 @@ def test_comm_free_releases_hier_state(restore_gates):
         topo = getattr(sub, "_hier_topo", None)
         had_topo = topo is not None
         pipeline = sub.coll.pipeline
-        # the plan-cache entry only exists when that gate is on (the
-        # check-gates MPIX_PLAN_CACHE=0 leg runs this test too)
-        had_plans = (sub.ctx_id in pipeline._plans
-                     or not fastpath.gate_enabled("plan_cache"))
+        had_plans = sub.ctx_id in pipeline._plans
         sub.Free()
         return {
             "had_topo": had_topo,

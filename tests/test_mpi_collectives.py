@@ -383,3 +383,28 @@ class TestReduceScatterScanBarrier:
         out = spmd(thetagpu1, body, nranks=p)
         slowest = (p - 1) * 100
         assert all(t >= slowest for t in out)
+
+
+@pytest.mark.parametrize("short", ["recv", "send"])
+@pytest.mark.parametrize("mode", ["pure_mpi", "hybrid"])
+def test_alltoall_undersized_buffer_raises_invalid_buffer(mode, short):
+    """A buffer one element short of ``p * count`` is an MPI buffer
+    error on every rank — never a numpy reshape error leaking out of
+    the Bruck body (small blocks take Bruck on both routes)."""
+    from repro.core import runtime
+    from repro.errors import InvalidBufferError, RankFailedError
+
+    def body(mpx):
+        comm = mpx.COMM_WORLD
+        n = 4 * comm.size
+        send = mpx.device_array(n - (short == "send"))
+        recv = mpx.device_array(n - (short == "recv"))
+        comm.Alltoall(send, recv, count=4)
+
+    with pytest.raises(RankFailedError) as info:
+        runtime.run(body, system="thetagpu", nodes=1, ranks_per_node=4,
+                    mode=mode)
+    failures = info.value.failures
+    assert len(failures) == 4
+    assert all(isinstance(e, InvalidBufferError) for e in failures.values()), \
+        failures

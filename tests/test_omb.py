@@ -209,13 +209,13 @@ class TestCLI:
         from repro import fastpath
         from repro.omb.cli import main
 
-        fastpath.STATS.note_dispatch(xccl=True)  # stale pre-sweep noise
+        fastpath.STATS.add("dispatch_calls")  # stale pre-sweep noise
         assert main(["allreduce", "--system", "thetagpu", "--sizes", "4:1K",
                      "--iterations", "2", "--warmup", "1", "--stats"]) == 0
         out = capsys.readouterr().out
         assert "Fast-path gates:" in out
-        state = "on" if fastpath.plans_enabled() else "off"
-        assert f"plan_cache={state}" in out
+        state = "on" if fastpath.gate_enabled("trace") else "off"
+        assert f"trace={state}" in out
         assert "dispatch_calls" in out
         assert "route_xccl" in out
         # counters in the report come from this sweep only

@@ -65,8 +65,8 @@ class TestConvergence:
         key = (results[0][3], "allreduce", size_bucket(_COUNT * 4))
         assert overlay[key]["static"] == "mpi"
         assert overlay[key]["fitted"] == "xccl"
-        assert fastpath.STATS.online_updates >= 1
-        assert fastpath.STATS.route_flips >= 1
+        assert fastpath.STATS.snapshot()["online_updates"] >= 1
+        assert fastpath.STATS.snapshot()["route_flips"] >= 1
 
     def test_observe_phase_follows_static_route_exactly(self, thetagpu1):
         """Below the warm-up threshold the gate is provably inert: all
@@ -81,7 +81,7 @@ class TestConvergence:
         assert all(r[1] == 0 and r[2] == 4 for r in results)
         overlay = engine.online_tuner.overlay()
         assert all(state["fitted"] is None for state in overlay.values())
-        assert fastpath.STATS.online_updates == 0
+        assert fastpath.STATS.snapshot()["online_updates"] == 0
 
     def test_gate_off_is_inert(self, thetagpu1):
         """With MPIX_ONLINE_TUNE off the overlay never even observes."""
@@ -213,7 +213,7 @@ class TestLifecycle:
         assert len(_cache) > 0
         Engine(thetagpu1, nranks=2, progress_timeout_s=1.0)
         assert len(_cache) == 0
-        assert fastpath.STATS.dispatch_calls == 0
+        assert fastpath.STATS.snapshot()["dispatch_calls"] == 0
 
 
 class TestTuningMiss:
@@ -236,7 +236,7 @@ class TestTuningMiss:
         for value, fallbacks in results:
             assert value == 9.0
             assert fallbacks.get(("bcast", FallbackReason.TUNING_MISS)) == 1
-        assert fastpath.STATS.route_fallbacks >= 1
+        assert fastpath.STATS.snapshot()["route_fallbacks"] >= 1
 
     def test_missing_collective_marks_trace(self, thetagpu1):
         sparse = TuningTable(backend="nccl", shape_key=("test", "sparse"),

@@ -1,9 +1,10 @@
-"""Plan-cache fast path: bit-identity, cache hits, pooling, lifecycle.
+"""Plan-cache fast path: golden parity, cache hits, pooling, lifecycle.
 
-The fast path (``repro.fastpath`` + ``repro.core.plan``) may only change
-how fast the simulator runs — never what it computes.  These tests pin
-that contract: payloads and virtual clocks are bit-identical with the
-cache on and off, for every collective on every backend, and the caches
+Compiled-plan replay (``repro.core.plan``) may only change how fast the
+simulator runs — never what it computes.  These tests pin that
+contract: payloads and virtual clocks of repeated collectives match
+the golden digests captured from per-call derivation
+(``tests/golden_digests.json``) on every backend, and the caches
 actually get hit.
 """
 
@@ -19,79 +20,17 @@ from repro.core.tuning_table import cached_table
 from repro.mpi.coll.hierarchical import node_comms
 from repro.mpi.ops import SUM
 from repro.xccl.datatypes import support_table
-
-#: (system, backend, single-node ranks) — one per CCL the paper ports.
-#: Single-node runs are exactly reproducible (intra-node wires are
-#: direction-tagged per pair), which is what makes bit-comparison valid.
-STACKS = [
-    ("thetagpu", None, 4),      # NCCL
-    ("mri", None, 2),           # RCCL
-    ("voyager", None, 4),       # HCCL
-    ("thetagpu", "msccl", 4),   # MSCCL
-]
-
-SIZES = (37, 1024)  # odd count exercises uneven chunk geometry
+from tests import golden
+from tests.golden import STACK_IDS
 
 
-def _collective_body(mpx):
-    """Run every tunable collective twice per size; record payload
-    bytes and the virtual clock after each call."""
-    comm = mpx.COMM_WORLD
-    ctx = comm.ctx
-    p = comm.size
-    log = []
-
-    def snap(buf):
-        log.append((buf.array.tobytes(), ctx.now))
-
-    for count in SIZES:
-        send = ctx.device.zeros(count * p, dtype=np.float32)
-        recv = ctx.device.zeros(count * p, dtype=np.float32)
-        send.array[:] = np.arange(count * p, dtype=np.float32) + comm.rank
-        for _ in range(2):
-            comm.Allreduce(send.view(0, count), recv.view(0, count), SUM)
-            snap(recv)
-            comm.Bcast(recv.view(0, count), root=0)
-            snap(recv)
-            comm.Reduce(send.view(0, count), recv.view(0, count), SUM, 0)
-            snap(recv)
-            comm.Allgather(send.view(0, count), recv.view(0, count * p))
-            snap(recv)
-            comm.Alltoall(send.view(0, count * p), recv.view(0, count * p))
-            snap(recv)
-            comm.Reduce_scatter_block(send.view(0, count * p),
-                                      recv.view(0, count), SUM)
-            snap(recv)
-            comm.Gather(send.view(0, count), recv.view(0, count * p), root=0)
-            snap(recv)
-            comm.Scatter(send.view(0, count * p), recv.view(0, count),
-                         root=0)
-            snap(recv)
-    return log
-
-
-@pytest.mark.parametrize("system,backend,rpn", STACKS,
-                         ids=[f"{s}-{b or 'native'}" for s, b, _ in STACKS])
-def test_bit_identical_on_vs_off(system, backend, rpn):
-    """Cache on vs off: identical payload bytes AND virtual times for
-    every collective on every backend."""
-    def run():
-        return runtime.run(_collective_body, system=system, nodes=1,
-                           ranks_per_node=rpn, backend=backend)
-
-    prev = fastpath.set_plans_enabled(False)
-    try:
-        off = run()
-        fastpath.set_plans_enabled(True)
-        on = run()
-    finally:
-        fastpath.set_plans_enabled(prev)
-
-    assert len(on) == len(off) == rpn
-    for rank, (a, b) in enumerate(zip(off, on)):
-        for i, ((data_a, t_a), (data_b, t_b)) in enumerate(zip(a, b)):
-            assert data_a == data_b, f"rank {rank} payload {i} differs"
-            assert t_a == t_b, f"rank {rank} clock after op {i} differs"
+@pytest.mark.parametrize("sid", STACK_IDS)
+def test_bit_identical_on_vs_off(sid):
+    """Plan replay (now the only path) against the golden digests of
+    per-call derivation: identical payload bytes AND virtual times for
+    every tunable collective, twice per size, on every backend."""
+    golden.assert_golden(f"repeat/{sid}")
+    assert fastpath.STATS.snapshot()["hits"] > 0
 
 
 def test_plan_cache_hits_in_omb_style_loop():
@@ -106,13 +45,9 @@ def test_plan_cache_hits_in_omb_style_loop():
             comm.Allreduce(s, r, SUM)
         return True
 
-    prev = fastpath.set_plans_enabled(True)
-    try:
-        fastpath.STATS.reset()
-        runtime.run(body, system="thetagpu", nodes=1, ranks_per_node=4)
-        stats = fastpath.STATS.snapshot()
-    finally:
-        fastpath.set_plans_enabled(prev)
+    fastpath.STATS.reset()
+    runtime.run(body, system="thetagpu", nodes=1, ranks_per_node=4)
+    stats = fastpath.STATS.snapshot()
     assert stats["hits"] > 0
     assert stats["compiled"] == stats["misses"]
     assert stats["hits"] > stats["misses"]
@@ -187,12 +122,8 @@ def test_comm_free_releases_caches():
         sub.Free()  # idempotent
         return had_plans
 
-    prev = fastpath.set_plans_enabled(True)
-    try:
-        assert all(runtime.run(body, system="thetagpu", nodes=1,
-                               ranks_per_node=4))
-    finally:
-        fastpath.set_plans_enabled(prev)
+    assert all(runtime.run(body, system="thetagpu", nodes=1,
+                           ranks_per_node=4))
 
 
 def test_support_table_identity():
@@ -241,13 +172,3 @@ def test_plan_cache_counts():
     assert cache.hits == 1 and cache.misses == 1
     cache.clear()
     assert len(cache) == 0
-
-
-def test_toggle_restores():
-    prev = fastpath.set_plans_enabled(False)
-    try:
-        assert not fastpath.plans_enabled()
-        fastpath.set_plans_enabled(True)
-        assert fastpath.plans_enabled()
-    finally:
-        fastpath.set_plans_enabled(prev)

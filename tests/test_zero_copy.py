@@ -1,18 +1,19 @@
-"""Zero-copy datapath: bit-identity, leaks, gate combos, fault safety.
+"""Zero-copy datapath: golden parity, leaks, gate combos, fault safety.
 
-``MPIX_ZERO_COPY`` may only change how fast the simulator runs — never
-what it computes.  These tests pin that contract on every CCL stack:
-payload bytes AND virtual clocks are bit-identical with the gate on and
-off, borrowed views are never retained after completion, all 8
-combinations of the three fast-path gates agree bit-for-bit on
-randomized collective sequences, and fault injection degrades the
-leased handoff to the copying path without ever corrupting a sender's
-live buffer.
+Borrowed-view handoff may only change how fast the simulator runs —
+never what it computes.  These tests pin that contract on every CCL
+stack: payload bytes AND virtual clocks match the golden digests
+captured from the copying datapath (``tests/golden_digests.json``),
+borrowed views are never retained after completion, randomized
+collective sequences agree bit for bit under every gate combination,
+and fault injection degrades the leased handoff to the copying path
+without ever corrupting a sender's live buffer.
 """
 
 from __future__ import annotations
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -25,209 +26,30 @@ from repro.mpi import SUM, Communicator
 from repro.mpi.communicator import IN_PLACE
 from repro.sim.engine import Engine
 from repro.sim.faults import FaultPlan, with_faults
-
-#: (system, backend, single-node ranks) — one per CCL the paper ports.
-#: Single-node runs are exactly reproducible, which is what makes
-#: bit-comparison valid.
-STACKS = [
-    ("thetagpu", None, 4),      # NCCL
-    ("mri", None, 2),           # RCCL
-    ("voyager", None, 4),       # HCCL
-    ("thetagpu", "msccl", 4),   # MSCCL
-]
-
-#: large enough for the rendezvous protocol (eager threshold is 8 KiB)
-RNDV = 1 << 12
+from tests import golden
+from tests.golden import RNDV, STACK_IDS
 
 
-def _datapath_body(mpx):
-    """Exercise every leased path: the five CCL collectives (including
-    in-place spellings), blocking rendezvous sends, deferred-eager
-    sendrecv, and the fused group exchange; log payload bytes and the
-    virtual clock after each call."""
-    comm = mpx.COMM_WORLD
-    ctx = comm.ctx
-    p, r = comm.size, comm.rank
-    log = []
-
-    def snap(buf):
-        log.append((buf.array.tobytes(), ctx.now))
-
-    n = 128
-    send = ctx.device.zeros(n, dtype=np.float32)
-    send.array[:] = np.arange(n, dtype=np.float32) * 0.5 + r
-    recv = ctx.device.zeros(n, dtype=np.float32)
-
-    comm.Allreduce(send, recv, SUM)
-    snap(recv)
-    comm.Reduce(send, recv, SUM, root=1 % p)
-    snap(recv)
-    comm.Bcast(recv, root=0)
-    snap(recv)
-
-    ag = ctx.device.zeros(n * p, dtype=np.float32)
-    comm.Allgather(send, ag, count=n)
-    snap(ag)
-    ag2 = ctx.device.zeros(n * p, dtype=np.float32)
-    ag2.array[r * n:(r + 1) * n] = send.array
-    comm.Allgather(IN_PLACE, ag2, count=n)
-    snap(ag2)
-
-    rs_s = ctx.device.zeros(n * p, dtype=np.float32)
-    rs_s.array[:] = np.arange(n * p, dtype=np.float32) - 3 * r
-    rs_r = ctx.device.zeros(n, dtype=np.float32)
-    comm.Reduce_scatter_block(rs_s, rs_r, SUM)
-    snap(rs_r)
-
-    # deferred-eager + rendezvous sendrecv around the ring
-    big_s = ctx.device.zeros(RNDV, dtype=np.float32)
-    big_s.array[:] = r + 1
-    big_r = ctx.device.zeros(RNDV, dtype=np.float32)
-    comm.Sendrecv(send, (r + 1) % p, recv, (r - 1) % p)
-    snap(recv)
-    comm.Sendrecv(big_s, (r + 1) % p, big_r, (r - 1) % p)
-    snap(big_r)
-
-    # blocking rendezvous send/recv pairs (even ranks send first)
-    peer = r ^ 1
-    if peer < p:
-        if r % 2 == 0:
-            comm.Send(big_s, peer)
-            comm.Recv(big_r, source=peer)
-        else:
-            comm.Recv(big_r, source=peer)
-            comm.Send(big_s, peer)
-        snap(big_r)
-
-    # fused group exchange (alltoall routes through grouped send/recv)
-    a2a_s = ctx.device.zeros(4 * p, dtype=np.float32)
-    a2a_s.array[:] = np.arange(4 * p, dtype=np.float32) + 10 * r
-    a2a_r = ctx.device.zeros(4 * p, dtype=np.float32)
-    comm.Alltoall(a2a_s, a2a_r, count=4)
-    snap(a2a_r)
-    return log
-
-
-def _compare_runs(off, on, rpn):
-    assert len(on) == len(off) == rpn
-    for rank, (a, b) in enumerate(zip(off, on)):
-        assert len(a) == len(b)
-        for i, ((data_a, t_a), (data_b, t_b)) in enumerate(zip(a, b)):
-            assert data_a == data_b, f"rank {rank} payload {i} differs"
-            assert t_a == t_b, f"rank {rank} clock after op {i} differs"
-
-
-@pytest.mark.parametrize("system,backend,rpn", STACKS,
-                         ids=[f"{s}-{b or 'native'}" for s, b, _ in STACKS])
-def test_bit_identical_zero_copy_on_vs_off(system, backend, rpn):
-    """Zero-copy on vs off: identical payload bytes AND virtual times
-    for the whole datapath on every CCL stack."""
-    def run():
-        return runtime.run(_datapath_body, system=system, nodes=1,
-                           ranks_per_node=rpn, backend=backend,
-                           mode="pure_xccl")
-
-    prev = fastpath.set_zero_copy_enabled(False)
-    try:
-        off = run()
-        fastpath.set_zero_copy_enabled(True)
-        fastpath.STATS.reset()
-        on = run()
-        stats = fastpath.STATS.snapshot()
-    finally:
-        fastpath.set_zero_copy_enabled(prev)
-
+@pytest.mark.parametrize("sid", STACK_IDS)
+def test_bit_identical_zero_copy_on_vs_off(sid):
+    """Zero copy (now the only datapath) against the copying
+    datapath's golden digests: identical payload bytes AND virtual
+    times for the whole datapath on every CCL stack."""
+    golden.assert_golden(f"datapath/{sid}")
+    stats = fastpath.STATS.snapshot()  # the run's engine reset them
     # the leased paths must actually have engaged
     assert stats["copies_elided"] > 0
     assert stats["accumulator_reuses"] > 0
-    _compare_runs(off, on, rpn)
 
 
-_PROGRAM_OPS = ("allreduce", "allgather", "allgather_in_place",
-                "reduce_scatter", "bcast", "alltoall", "sendrecv")
-
-
-def _random_program(seed, length=8):
-    rng = np.random.default_rng(seed)
-    return [(str(rng.choice(_PROGRAM_OPS)),
-             int(rng.integers(1, 6)) * 32,
-             int(rng.integers(0, 1000)))
-            for _ in range(length)]
-
-
-def _program_body_factory(program):
-    def body(mpx):
-        comm = mpx.COMM_WORLD
-        ctx = comm.ctx
-        p, r = comm.size, comm.rank
-        log = []
-        for op, n, salt in program:
-            send = ctx.device.zeros(n, dtype=np.float32)
-            send.array[:] = (np.arange(n, dtype=np.float32) % 7) \
-                + r * 0.25 + salt
-            if op == "allreduce":
-                out = ctx.device.zeros(n, dtype=np.float32)
-                comm.Allreduce(send, out, SUM)
-            elif op == "allgather":
-                out = ctx.device.zeros(n * p, dtype=np.float32)
-                comm.Allgather(send, out, count=n)
-            elif op == "allgather_in_place":
-                out = ctx.device.zeros(n * p, dtype=np.float32)
-                out.array[r * n:(r + 1) * n] = send.array
-                comm.Allgather(IN_PLACE, out, count=n)
-            elif op == "reduce_scatter":
-                big = ctx.device.zeros(n * p, dtype=np.float32)
-                big.array[:] = np.arange(n * p, dtype=np.float32) + salt - r
-                out = ctx.device.zeros(n, dtype=np.float32)
-                comm.Reduce_scatter_block(big, out, SUM)
-            elif op == "bcast":
-                out = ctx.device.zeros(n, dtype=np.float32)
-                if r == salt % p:
-                    out.array[:] = send.array
-                comm.Bcast(out, root=salt % p)
-            elif op == "alltoall":
-                big = ctx.device.zeros(n * p, dtype=np.float32)
-                big.array[:] = np.arange(n * p, dtype=np.float32) + 10 * r
-                out = ctx.device.zeros(n * p, dtype=np.float32)
-                comm.Alltoall(big, out, count=n)
-            else:  # sendrecv
-                out = ctx.device.zeros(n, dtype=np.float32)
-                comm.Sendrecv(send, (r + 1) % p, out, (r - 1) % p)
-            log.append((out.array.tobytes(), ctx.now))
-        return log
-    return body
-
-
-@pytest.mark.parametrize("seed", [7, 23])
+@pytest.mark.parametrize("seed", golden.SEEDS)
 def test_randomized_sequences_identical_under_all_gate_combos(seed):
-    """All 8 combinations of plan-cache x fusion x zero-copy agree
-    bit-for-bit (payloads and virtual times) on randomized collective
+    """All 64 combinations of the six gates reproduce the golden
+    digests (payloads and virtual times) of randomized collective
     sequences."""
-    body = _program_body_factory(_random_program(seed))
-
-    def run():
-        return runtime.run(body, system="thetagpu", nodes=1,
-                           ranks_per_node=4, mode="pure_xccl")
-
-    prev = (fastpath.plans_enabled(), fastpath.fusion_enabled(),
-            fastpath.zero_copy_enabled())
-    reference = None
-    try:
-        for plans in (False, True):
-            for fusion in (False, True):
-                for zc in (False, True):
-                    fastpath.set_plans_enabled(plans)
-                    fastpath.set_fusion_enabled(fusion)
-                    fastpath.set_zero_copy_enabled(zc)
-                    got = run()
-                    if reference is None:
-                        reference = got
-                    else:
-                        _compare_runs(reference, got, 4)
-    finally:
-        fastpath.set_plans_enabled(prev[0])
-        fastpath.set_fusion_enabled(prev[1])
-        fastpath.set_zero_copy_enabled(prev[2])
+    for combo in itertools.product([False, True], repeat=6):
+        golden.assert_golden(f"random/{seed}",
+                             **dict(zip(fastpath.GATE_ENV, combo)))
 
 
 def test_no_payload_refs_retained_after_completion():
@@ -258,12 +80,8 @@ def test_no_payload_refs_retained_after_completion():
                     (send.array, ag.array, a2a.array, big_s.array))
         return True
 
-    prev = fastpath.set_zero_copy_enabled(True)
-    try:
-        assert all(runtime.run(body, system="thetagpu", nodes=1,
-                               ranks_per_node=4, mode="pure_xccl"))
-    finally:
-        fastpath.set_zero_copy_enabled(prev)
+    assert all(runtime.run(body, system="thetagpu", nodes=1,
+                           ranks_per_node=4, mode="pure_xccl"))
     gc.collect()
     alive = [i for i, ref in enumerate(refs) if ref() is not None]
     assert not alive, f"payload arrays still referenced: {alive}"
@@ -287,13 +105,9 @@ def test_blocking_send_buffer_safe_to_reuse(thetagpu1):
             captured["got"] = buf.array.copy()
 
     engine = Engine(thetagpu1, nranks=2, progress_timeout_s=10.0)
-    prev = fastpath.set_zero_copy_enabled(True)
     fastpath.STATS.reset()
-    try:
-        engine.run(body)
-        stats = fastpath.STATS.snapshot()
-    finally:
-        fastpath.set_zero_copy_enabled(prev)
+    engine.run(body)
+    stats = fastpath.STATS.snapshot()
     assert stats["copies_elided"] > 0
     assert (captured["got"] == 7.0).all()
 
@@ -318,13 +132,9 @@ def test_patched_mailbox_degrades_to_copying_path(thetagpu1):
 
     engine = Engine(thetagpu1, nranks=2, progress_timeout_s=10.0)
     with_faults(engine, FaultPlan().delay(0, 1, 250.0))
-    prev = fastpath.set_zero_copy_enabled(True)
     fastpath.STATS.reset()
-    try:
-        engine.run(body)
-        stats = fastpath.STATS.snapshot()
-    finally:
-        fastpath.set_zero_copy_enabled(prev)
+    engine.run(body)
+    stats = fastpath.STATS.snapshot()
     # exactly one degraded send -> exactly one forced copy: the escape
     # hatch must fire once per send, never double-count per handshake
     assert stats["copies_forced"] == 1
@@ -351,13 +161,9 @@ def test_fault_path_leaves_no_stale_lease(thetagpu1):
 
     engine = Engine(thetagpu1, nranks=2, progress_timeout_s=10.0)
     with_faults(engine, FaultPlan().delay(0, 1, 250.0))
-    prev = fastpath.set_zero_copy_enabled(True)
     fastpath.STATS.reset()
-    try:
-        engine.run(body)
-        stats = fastpath.STATS.snapshot()
-    finally:
-        fastpath.set_zero_copy_enabled(prev)
+    engine.run(body)
+    stats = fastpath.STATS.snapshot()
     assert stats["copies_forced"] == 1
     gc.collect()
     leases = [o for o in gc.get_objects() if isinstance(o, PayloadLease)]
@@ -389,12 +195,8 @@ def test_rank_failure_leaves_live_buffers_intact(thetagpu1):
 
     engine = Engine(thetagpu1, nranks=4, progress_timeout_s=1.5)
     with_faults(engine, FaultPlan().drop(2, 3, nth=0))
-    prev = fastpath.set_zero_copy_enabled(True)
-    try:
-        with pytest.raises(RankFailedError):
-            engine.run(body)
-    finally:
-        fastpath.set_zero_copy_enabled(prev)
+    with pytest.raises(RankFailedError):
+        engine.run(body)
     assert survivors == {0: 2.0, 1: 1.0}
 
 
@@ -412,22 +214,8 @@ def test_in_place_allgather_skips_own_segment_copy():
         comm.Allgather(IN_PLACE, out, count=n)
         return out.array.copy()
 
-    prev = fastpath.set_zero_copy_enabled(True)
-    try:
-        got = runtime.run(body, system="thetagpu", nodes=1,
-                          ranks_per_node=4, mode="pure_xccl")
-    finally:
-        fastpath.set_zero_copy_enabled(prev)
+    got = runtime.run(body, system="thetagpu", nodes=1,
+                      ranks_per_node=4, mode="pure_xccl")
     expect = np.repeat(np.arange(1, 5, dtype=np.float32), 64)
     for rank, arr in enumerate(got):
         assert (arr == expect).all(), f"rank {rank} gathered wrong bytes"
-
-
-def test_zero_copy_toggle_restores():
-    prev = fastpath.set_zero_copy_enabled(False)
-    try:
-        assert not fastpath.zero_copy_enabled()
-        fastpath.set_zero_copy_enabled(True)
-        assert fastpath.zero_copy_enabled()
-    finally:
-        fastpath.set_zero_copy_enabled(prev)

@@ -88,17 +88,18 @@ def main(argv):
                       and r[1] == NRANKS - 1
                       and r[2] == (DEAD,)
                       and abs(r[0] - expect) < 1e-9 for r in survivors))
+        stats = fastpath.STATS.snapshot()
         print(f"elastic smoke: {NRANKS} ranks, rank {DEAD} killed at "
-              f"{KILL_AT_US}us; revokes={fastpath.STATS.comm_revokes} "
-              f"shrinks={fastpath.STATS.comm_shrinks} "
-              f"online_updates={fastpath.STATS.online_updates}")
+              f"{KILL_AT_US}us; revokes={stats['comm_revokes']} "
+              f"shrinks={stats['comm_shrinks']} "
+              f"online_updates={stats['online_updates']}")
         if not ok:
             print(f"FAILED: survivor results {set(survivors)}")
             return 1
-        if fastpath.STATS.comm_revokes < 1 or fastpath.STATS.comm_shrinks < 1:
+        if stats["comm_revokes"] < 1 or stats["comm_shrinks"] < 1:
             print("FAILED: no revoke/shrink recorded")
             return 1
-        if fastpath.STATS.online_updates < 1:
+        if stats["online_updates"] < 1:
             print("FAILED: online tuner never re-fit on the shrunk comm")
             return 1
         print(f"OK: all {NRANKS - 1} survivors recovered with identical "
