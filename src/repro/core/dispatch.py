@@ -11,23 +11,26 @@ seven send-recv-composed ones (§3.3), and their MPI-algorithm fallbacks
         │ route             (mode pin or §3.4 tuning-table crossover)
         │ plan lookup       (compiled RouteDecision replayed per
         │                    communicator)
-        ▼ execute           {direct-CCL | fused sendrecv-group |
-                             MPI-algorithm fallback}
+        ▼ execute           (the :data:`ROUTES` table: hierarchy,
+                             bridge, xCCL or MPI executor, each with
+                             its degrade target)
 
 :class:`CollectiveCall` is the logical descriptor (HiCCL-style): name,
-buffers, counts/displacements, datatype, op, root, communicator.
-:data:`REGISTRY` maps each collective name to a :class:`CollectiveSpec`
-that knows how to derive the routing inputs (byte count, significant
-buffers, tuning key) and how to execute on either route.  Adding a
-collective is one registry entry; adding a cross-cutting concern
+buffers, counts/displacements, datatype, op, root, communicator.  It
+lives in the MPI layer, next to the
+:class:`~repro.mpi.communicator.Communicator` that builds it once per
+call, and is re-exported here.  :data:`REGISTRY` maps each collective
+name to a :class:`CollectiveSpec` that derives the routing inputs (byte
+count, significant buffers, tuning key) and holds the xCCL executor.
+The MPI route runs the :class:`~repro.mpi.coll.MPICollDispatcher`
+method named after the collective.  Adding a cross-cutting concern
 (tracing, fault policy, new routing modes) is one pipeline stage —
 nothing per-collective needs touching (MPI-Advance-style single seam).
 
 :class:`CollectivePipeline` owns the per-communicator plan caches and
-tuning-table bindings previously spread across the hybrid dispatcher;
-:class:`repro.core.hybrid.HybridDispatcher` and
-:class:`repro.core.abstraction.XCCLAbstractionLayer` are thin adapters
-over this module.
+tuning-table bindings.  :class:`repro.core.hybrid.HybridDispatcher`
+feeds it every routed call; direct callers of the xCCL route use
+:func:`execute_ccl`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro import fastpath
 from repro.errors import CCLError, MPIError, TuningTableError
@@ -44,7 +47,7 @@ from repro.core.plan import CollectivePlan, PlanCache
 from repro.core.tuning_table import TUNABLE_COLLECTIVES, TuningTable, cached_table
 from repro.core import sendrecv_collectives as srcoll
 from repro.mpi.coll import MPICollDispatcher, bridge, hier_exec
-from repro.mpi.communicator import IN_PLACE
+from repro.mpi.communicator import IN_PLACE, CollectiveCall
 from repro.xccl import api as xapi
 
 
@@ -54,35 +57,6 @@ class DispatchMode(enum.Enum):
     HYBRID = "hybrid"        # tuning table decides (the paper's design)
     PURE_XCCL = "pure_xccl"  # always CCL when capable ("Proposed xCCL w/ Pure ...")
     PURE_MPI = "pure_mpi"    # never CCL (the traditional-MPI baseline)
-
-
-# ---------------------------------------------------------------------------
-# the descriptor
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CollectiveCall:
-    """One logical collective operation, fully described.
-
-    Element-addressed exactly like the MPI calls it mirrors: ``count``
-    for uniform collectives, ``sendcounts``/``sdispls`` and
-    ``recvcounts``/``rdispls`` for the vector forms (gatherv and
-    allgatherv populate the recv side, scatterv the send side).
-    ``Bcast``'s single buffer is stored as ``recvbuf``.
-    """
-
-    coll: str
-    comm: Any
-    sendbuf: Any = None
-    recvbuf: Any = None
-    count: int = 0
-    sendcounts: Optional[Sequence[int]] = None
-    sdispls: Optional[Sequence[int]] = None
-    recvcounts: Optional[Sequence[int]] = None
-    rdispls: Optional[Sequence[int]] = None
-    dt: Any = None
-    op: Any = None
-    root: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -98,7 +72,9 @@ class CollectiveSpec:
         buffers: the residency-significant buffers for this rank.
         ccl: the xCCL-route executor ``(layer, call) -> None`` —
             direct CCL mapping or fused send-recv group.
-        mpi: the MPI-algorithm executor ``(dispatcher, call) -> None``.
+
+    The MPI route needs no field: it runs the
+    :class:`~repro.mpi.coll.MPICollDispatcher` method named ``name``.
     """
 
     name: str
@@ -106,7 +82,6 @@ class CollectiveSpec:
     nbytes: Callable[[CollectiveCall], int]
     buffers: Callable[[CollectiveCall], Tuple]
     ccl: Callable[[Any, CollectiveCall], None]
-    mpi: Callable[[MPICollDispatcher, CollectiveCall], None]
 
 
 REGISTRY: Dict[str, CollectiveSpec] = {}
@@ -147,8 +122,9 @@ def charged(fn):
 
 
 def execute_ccl(layer, call: CollectiveCall) -> None:
-    """Run ``call`` on the xCCL route (the pipeline's execute stage,
-    also the body of every abstraction-layer per-collective adapter)."""
+    """Run ``call`` on ``layer``'s xCCL route, with no routing (the
+    execute stage's xCCL executor; also the way to drive an
+    :class:`~repro.core.abstraction.XCCLAbstractionLayer` directly)."""
     collective_spec(call.coll).ccl(layer, call)
 
 
@@ -261,67 +237,77 @@ def _ccl_allgatherv(layer, c):
                            c.recvcounts, c.rdispls, c.dt)
 
 
-_D = MPICollDispatcher  # the traditional-MPI algorithm suite
+register(CollectiveSpec("bcast", "bcast", _uniform_nbytes,
+                        lambda c: (c.recvbuf,), _ccl_bcast))
+register(CollectiveSpec("reduce", "reduce", _uniform_nbytes, _root_recv,
+                        _ccl_reduce))
+register(CollectiveSpec("allreduce", "allreduce", _uniform_nbytes, _both,
+                        _ccl_allreduce))
+register(CollectiveSpec("allgather", "allgather", _uniform_nbytes, _both,
+                        _ccl_allgather))
+register(CollectiveSpec("allgatherv", "allgather", _recv_vec_nbytes, _both,
+                        _ccl_allgatherv))
+register(CollectiveSpec("alltoall", "alltoall", _uniform_nbytes, _both,
+                        _ccl_alltoall))
+register(CollectiveSpec("alltoallv", "alltoall", _send_vec_nbytes, _both,
+                        _ccl_alltoallv))
+register(CollectiveSpec("gather", "gather", _uniform_nbytes, _root_recv,
+                        _ccl_gather))
+register(CollectiveSpec("gatherv", "gather", _recv_vec_nbytes, _root_recv,
+                        _ccl_gatherv))
+register(CollectiveSpec("scatter", "scatter", _uniform_nbytes, _root_send,
+                        _ccl_scatter))
+register(CollectiveSpec("scatterv", "scatter", _send_vec_nbytes, _root_send,
+                        _ccl_scatterv))
+register(CollectiveSpec("reduce_scatter_block", "reduce_scatter",
+                        _uniform_nbytes, _both, _ccl_reduce_scatter_block))
 
-register(CollectiveSpec(
-    "bcast", "bcast", _uniform_nbytes, lambda c: (c.recvbuf,),
-    _ccl_bcast,
-    lambda d, c: _D.bcast(d, c.comm, c.recvbuf, c.count, c.dt, c.root)))
-register(CollectiveSpec(
-    "reduce", "reduce", _uniform_nbytes, _root_recv,
-    _ccl_reduce,
-    lambda d, c: _D.reduce(d, c.comm, c.sendbuf, c.recvbuf, c.count, c.dt,
-                           c.op, c.root)))
-register(CollectiveSpec(
-    "allreduce", "allreduce", _uniform_nbytes, _both,
-    _ccl_allreduce,
-    lambda d, c: _D.allreduce(d, c.comm, c.sendbuf, c.recvbuf, c.count,
-                              c.dt, c.op)))
-register(CollectiveSpec(
-    "allgather", "allgather", _uniform_nbytes, _both,
-    _ccl_allgather,
-    lambda d, c: _D.allgather(d, c.comm, c.sendbuf, c.recvbuf, c.count,
-                              c.dt)))
-register(CollectiveSpec(
-    "allgatherv", "allgather", _recv_vec_nbytes, _both,
-    _ccl_allgatherv,
-    lambda d, c: _D.allgatherv(d, c.comm, c.sendbuf, c.recvbuf,
-                               c.recvcounts, c.rdispls, c.dt)))
-register(CollectiveSpec(
-    "alltoall", "alltoall", _uniform_nbytes, _both,
-    _ccl_alltoall,
-    lambda d, c: _D.alltoall(d, c.comm, c.sendbuf, c.recvbuf, c.count,
-                             c.dt)))
-register(CollectiveSpec(
-    "alltoallv", "alltoall", _send_vec_nbytes, _both,
-    _ccl_alltoallv,
-    lambda d, c: _D.alltoallv(d, c.comm, c.sendbuf, c.sendcounts, c.sdispls,
-                              c.recvbuf, c.recvcounts, c.rdispls, c.dt)))
-register(CollectiveSpec(
-    "gather", "gather", _uniform_nbytes, _root_recv,
-    _ccl_gather,
-    lambda d, c: _D.gather(d, c.comm, c.sendbuf, c.recvbuf, c.count, c.dt,
-                           c.root)))
-register(CollectiveSpec(
-    "gatherv", "gather", _recv_vec_nbytes, _root_recv,
-    _ccl_gatherv,
-    lambda d, c: _D.gatherv(d, c.comm, c.sendbuf, c.recvbuf, c.recvcounts,
-                            c.rdispls, c.dt, c.root)))
-register(CollectiveSpec(
-    "scatter", "scatter", _uniform_nbytes, _root_send,
-    _ccl_scatter,
-    lambda d, c: _D.scatter(d, c.comm, c.sendbuf, c.recvbuf, c.count, c.dt,
-                            c.root)))
-register(CollectiveSpec(
-    "scatterv", "scatter", _send_vec_nbytes, _root_send,
-    _ccl_scatterv,
-    lambda d, c: _D.scatterv(d, c.comm, c.sendbuf, c.sendcounts, c.sdispls,
-                             c.recvbuf, c.dt, c.root)))
-register(CollectiveSpec(
-    "reduce_scatter_block", "reduce_scatter", _uniform_nbytes, _both,
-    _ccl_reduce_scatter_block,
-    lambda d, c: _D.reduce_scatter_block(d, c.comm, c.sendbuf, c.recvbuf,
-                                         c.count, c.dt, c.op)))
+
+# ---------------------------------------------------------------------------
+# the execute stage's route table
+# ---------------------------------------------------------------------------
+
+def _run_xccl(pipeline, call: CollectiveCall) -> None:
+    execute_ccl(pipeline.layer, call)
+
+
+def _run_mpi(pipeline, call: CollectiveCall) -> None:
+    # looked up by name on every call, never bound at import, so a
+    # patched MPICollDispatcher method is the one that runs
+    getattr(pipeline.mpi, call.coll)(call)
+
+
+class RouteRow(NamedTuple):
+    """One route of the execute stage: ``executor`` maps a collective
+    name to its ``(pipeline, call)`` body, or to None when the route
+    has none and the call takes ``degrade_to``; ``label`` is the span
+    label after ``execute:<coll>:`` (``{backend}`` and ``{reason}``
+    filled in)."""
+
+    executor: Callable[[str], Optional[Callable[[Any, CollectiveCall], None]]]
+    degrade_to: Optional[RouteDecision]
+    label: str
+
+
+#: Route -> executor lookup, degrade target and span label.  Any
+#: non-MPI executor that raises :class:`CCLError` hands the call to the
+#: MPI route with reason ``ccl_error`` (§1.2 advantage 3).
+ROUTES: Dict[Route, RouteRow] = {
+    # a vector sibling replaying its uniform tuning key's cached HIER
+    # plan degrades to the flat CCL route ...
+    Route.HIER: RouteRow(lambda coll: hier_exec.EXECUTORS.get(coll),
+                         RouteDecision(Route.XCCL), "hier"),
+    # ... and a cached BRIDGE plan to the MPI route (never XCCL: no
+    # single CCL spans the vendor islands)
+    Route.BRIDGE: RouteRow(lambda coll: bridge.EXECUTORS.get(coll),
+                           RouteDecision(Route.MPI,
+                                         FallbackReason.MIXED_VENDOR),
+                           "bridge"),
+    Route.XCCL: RouteRow(lambda coll: _run_xccl, None, "xccl:{backend}"),
+    Route.MPI: RouteRow(lambda coll: _run_mpi, None, "mpi:{reason}"),
+}
+
+_CCL_ERROR = RouteDecision(Route.MPI, FallbackReason.CCL_ERROR)
 
 
 # ---------------------------------------------------------------------------
@@ -386,26 +372,29 @@ class CollectivePipeline:
         datatype table (HCCL float-only, no complex anywhere), reduce-op
         table (the four NCCL ops).  Returns the MPI fallback decision,
         or None when the call is CCL-capable."""
+        reason = None
         if not self.layer.available:
-            return RouteDecision(Route.MPI, FallbackReason.NO_BACKEND)
-        if coll not in TUNABLE_COLLECTIVES:
-            return RouteDecision(Route.MPI, FallbackReason.UNSUPPORTED_COLL)
-        if significant and not on_device:
-            return RouteDecision(Route.MPI, FallbackReason.HOST_BUFFER)
-        if dt is not None and not self.layer.supports_datatype(dt):
-            return RouteDecision(Route.MPI, FallbackReason.DATATYPE)
-        if op is not None and not self.layer.supports_op(op):
-            return RouteDecision(Route.MPI, FallbackReason.REDUCE_OP)
-        return None
+            reason = FallbackReason.NO_BACKEND
+        elif coll not in TUNABLE_COLLECTIVES:
+            reason = FallbackReason.UNSUPPORTED_COLL
+        elif significant and not on_device:
+            reason = FallbackReason.HOST_BUFFER
+        elif dt is not None and not self.layer.supports_datatype(dt):
+            reason = FallbackReason.DATATYPE
+        elif op is not None and not self.layer.supports_op(op):
+            reason = FallbackReason.REDUCE_OP
+        return self._verdict(reason)
 
-    def _checked_capability(self, coll: str, dt, op, significant,
-                            on_device: bool) -> Optional[RouteDecision]:
-        """:meth:`capability` plus its stage marker (``capability:ok``
-        or ``capability:<fallback reason>``)."""
-        fallback = self.capability(coll, dt, op, significant, on_device)
-        self._mark("capability:ok" if fallback is None
-                   else f"capability:{fallback.reason.value}")
-        return fallback
+    def _verdict(self, reason: Optional[FallbackReason]
+                 ) -> Optional[RouteDecision]:
+        """Mark the capability stage (``capability:ok`` or
+        ``capability:<reason>``); the MPI fallback for ``reason``, or
+        None when the call is capable."""
+        if reason is None:
+            self._mark("capability:ok")
+            return None
+        self._mark(f"capability:{reason.value}")
+        return RouteDecision(Route.MPI, reason)
 
     # -- stage 3: route (mode pin or tuning-table crossover) ----------------
 
@@ -445,8 +434,7 @@ class CollectivePipeline:
             # before any per-backend stage can run
             return self._route_hetero(comm, coll, dt, op, significant,
                                       on_device)
-        fallback = self._checked_capability(coll, dt, op, significant,
-                                            on_device)
+        fallback = self.capability(coll, dt, op, significant, on_device)
         if fallback is not None:
             return fallback
         hier_ok = (self.mode == DispatchMode.HYBRID
@@ -519,19 +507,18 @@ class CollectivePipeline:
             self._mark("capability:skipped")
             return RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
         desc = bridge.negotiated_descriptor(comm)
-        fallback = None
+        reason = None
         if coll not in TUNABLE_COLLECTIVES:
-            fallback = RouteDecision(Route.MPI, FallbackReason.UNSUPPORTED_COLL)
+            reason = FallbackReason.UNSUPPORTED_COLL
         elif significant and not on_device:
-            fallback = RouteDecision(Route.MPI, FallbackReason.HOST_BUFFER)
+            reason = FallbackReason.HOST_BUFFER
         elif dt is not None and not desc.allows_datatype(dt):
-            fallback = RouteDecision(Route.MPI, FallbackReason.DATATYPE)
+            reason = FallbackReason.DATATYPE
         elif op is not None and not desc.allows_op(op):
-            fallback = RouteDecision(Route.MPI, FallbackReason.REDUCE_OP)
+            reason = FallbackReason.REDUCE_OP
         elif comm.size > desc.max_ranks:
-            fallback = RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
-        self._mark("capability:ok" if fallback is None
-                   else f"capability:{fallback.reason.value}")
+            reason = FallbackReason.MIXED_VENDOR
+        fallback = self._verdict(reason)
         if fallback is not None:
             return fallback
         if coll in bridge.BRIDGE_TUNING_KEYS \
@@ -540,13 +527,6 @@ class CollectivePipeline:
         return RouteDecision(Route.MPI, FallbackReason.MIXED_VENDOR)
 
     # -- stage 4: plan lookup -----------------------------------------------
-
-    def plan_cache(self, comm) -> PlanCache:
-        """This communicator's compiled-plan store."""
-        cache = self._plans.get(comm.ctx_id)
-        if cache is None:
-            cache = self._plans[comm.ctx_id] = PlanCache()
-        return cache
 
     def decide(self, comm, coll: str, nbytes: int, dt=None, op=None,
                *buffers) -> RouteDecision:
@@ -570,7 +550,9 @@ class CollectivePipeline:
                               on_device)
         key = (self.mode, coll, nbytes, dt.name if dt is not None else None,
                op.name if op is not None else None, on_device)
-        cache = self.plan_cache(comm)
+        cache = self._plans.get(comm.ctx_id)
+        if cache is None:
+            cache = self._plans[comm.ctx_id] = PlanCache()
         plan = cache.lookup(key)
         if plan is None:
             self._mark("plan:miss")
@@ -585,53 +567,25 @@ class CollectivePipeline:
 
     def execute(self, call: CollectiveCall, spec: CollectiveSpec,
                 decision: RouteDecision) -> RouteDecision:
-        """Run the call on its decided route; a CCL runtime error also
-        falls back to the MPI algorithms (§1.2 advantage 3).  Returns
-        the decision the call actually executed under (it differs from
-        the argument exactly when a CCL error forced the fallback)."""
-        ctx = self.layer.ctx
-        t0 = ctx.now
-        if decision.route == Route.HIER:
-            fn = hier_exec.EXECUTORS.get(call.coll)
-            if fn is None:
-                # a vector sibling replayed its uniform tuning key's
-                # cached HIER plan — degrade to the flat CCL route
-                decision = RouteDecision(Route.XCCL)
-            else:
-                try:
-                    fn(self, call)
-                    self._record(decision, spec)
-                    self._span(call, spec, decision, t0)
-                    return decision
-                except CCLError:
-                    decision = RouteDecision(Route.MPI,
-                                             FallbackReason.CCL_ERROR)
-        if decision.route == Route.BRIDGE:
-            fn = bridge.EXECUTORS.get(call.coll)
-            if fn is None:
-                # a vector sibling replayed its uniform key's cached
-                # BRIDGE plan — degrade to the MPI route (never XCCL:
-                # no single CCL spans the islands)
-                decision = RouteDecision(Route.MPI,
-                                         FallbackReason.MIXED_VENDOR)
-            else:
-                try:
-                    fn(self, call)
-                    self._record(decision, spec)
-                    self._span(call, spec, decision, t0)
-                    return decision
-                except CCLError:
-                    decision = RouteDecision(Route.MPI,
-                                             FallbackReason.CCL_ERROR)
-        if decision.route == Route.XCCL:
+        """Run the call on its decided route, walking :data:`ROUTES`: a
+        route with no executor for the collective takes its degrade
+        target, and a CCL runtime error on any non-MPI route falls back
+        to the MPI algorithms.  Returns the decision the call actually
+        executed under."""
+        t0 = self.layer.ctx.now
+        while True:
+            row = ROUTES[decision.route]
+            run = row.executor(call.coll)
+            if run is None:
+                decision = row.degrade_to
+                continue
             try:
-                spec.ccl(self.layer, call)
-                self._record(decision, spec)
-                self._span(call, spec, decision, t0)
-                return decision
+                run(self, call)
+                break
             except CCLError:
-                decision = RouteDecision(Route.MPI, FallbackReason.CCL_ERROR)
-        spec.mpi(self.mpi, call)
+                if decision.route == Route.MPI:
+                    raise
+                decision = _CCL_ERROR
         self._record(decision, spec)
         self._span(call, spec, decision, t0)
         return decision
@@ -640,20 +594,15 @@ class CollectivePipeline:
               decision: RouteDecision, t0: float) -> None:
         """Record the execute-stage span (the whole collective) with the
         route the call actually took — ``execute:<coll>:xccl:<backend>``,
-        ``execute:<coll>:hier``, or ``execute:<coll>:mpi:<reason>``."""
+        ``execute:<coll>:hier``, ``execute:<coll>:bridge`` or
+        ``execute:<coll>:mpi:<reason>``."""
         ctx = self.layer.ctx
         if not ctx.trace.enabled:
             return
-        if decision.route == Route.XCCL:
-            label = f"execute:{call.coll}:xccl:{self.layer.backend_name}"
-        elif decision.route == Route.HIER:
-            label = f"execute:{call.coll}:hier"
-        elif decision.route == Route.BRIDGE:
-            label = f"execute:{call.coll}:bridge"
-        else:
-            label = f"execute:{call.coll}:mpi:{decision.reason.value}"
-        ctx.trace.record("dispatch", t0, ctx.now,
-                         nbytes=spec.nbytes(call), label=label)
+        label = ROUTES[decision.route].label.format(
+            backend=self.layer.backend_name, reason=decision.reason.value)
+        ctx.trace.record("dispatch", t0, ctx.now, nbytes=spec.nbytes(call),
+                         label=f"execute:{call.coll}:{label}")
 
     def _record(self, decision: RouteDecision, spec: CollectiveSpec) -> None:
         self.stats.record(decision, spec.tuning_key)
@@ -667,6 +616,14 @@ class CollectivePipeline:
                 add("ccl_errors")
 
     # -- the whole pipe -----------------------------------------------------
+
+    def warm(self, call: CollectiveCall) -> None:
+        """Compile ``call``'s routing plan without running it (a
+        persistent collective's init), so every ``Start`` replays a
+        plan-cache hit."""
+        spec = collective_spec(call.coll)
+        self.decide(call.comm, spec.tuning_key, spec.nbytes(call), call.dt,
+                    call.op, *spec.buffers(call))
 
     def run(self, call: CollectiveCall) -> None:
         """Push one descriptor through all five stages."""
@@ -700,4 +657,4 @@ class CollectivePipeline:
         tuner = getattr(comm.ctx.engine, "online_tuner", None)
         if tuner is not None:
             tuner.release(comm.ctx_id)
-        self.layer.release(comm)
+        self.layer.invalidate(comm)

@@ -1,26 +1,27 @@
 """The hybrid dispatcher: MPI-xCCL's runtime brain (§3.4).
 
 A drop-in replacement for the communicator's default
-:class:`~repro.mpi.coll.MPICollDispatcher`.  Since the dispatch
-refactor it is a *thin adapter*: every per-collective entry point is a
-one-line construction of a :class:`~repro.core.dispatch.CollectiveCall`
-pushed through the staged :class:`~repro.core.dispatch.CollectivePipeline`
+:class:`~repro.mpi.coll.MPICollDispatcher`.  It defines no
+per-collective methods: :meth:`HybridDispatcher.run` pushes each of the
+twelve routed collectives' :class:`~repro.core.dispatch.CollectiveCall`
+through the staged :class:`~repro.core.dispatch.CollectivePipeline`
 (validate → capability-check → route → plan lookup → execute).  The
-Fig. 2 decision chain, the plan caches, and the MPI/CCL executors all
-live in :mod:`repro.core.dispatch`.
+Fig. 2 decision chain, the plan caches, and the route table live in
+:mod:`repro.core.dispatch`.
 
 Scan/exscan and the barrier have no CCL mapping and always run on MPI
-(inherited from the base dispatcher).
+(the algorithm suite inherited from the base dispatcher, which is also
+the pipeline's MPI route).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core.abstraction import XCCLAbstractionLayer
-from repro.core.dispatch import CollectiveCall, CollectivePipeline, DispatchMode
-from repro.core.fallback import RouteDecision, RouteStats
-from repro.core.plan import PlanCache
+from repro.core.dispatch import (REGISTRY, CollectiveCall, CollectivePipeline,
+                                 DispatchMode)
+from repro.core.fallback import RouteStats
 from repro.core.tuning_table import TuningTable
 from repro.mpi.coll import MPICollDispatcher
 
@@ -39,8 +40,6 @@ class HybridDispatcher(MPICollDispatcher):
         #: the staged dispatch pipeline (self supplies the MPI route —
         #: this class inherits the traditional algorithm suite).
         self.pipeline = CollectivePipeline(layer, mode, table, mpi=self)
-
-    # -- pipeline state, exposed under the historical names ------------------
 
     @property
     def layer(self) -> XCCLAbstractionLayer:
@@ -61,87 +60,20 @@ class HybridDispatcher(MPICollDispatcher):
         """Routing counters (inspected by tests/reports)."""
         return self.pipeline.stats
 
-    @property
-    def _plans(self) -> Dict[str, PlanCache]:
-        return self.pipeline._plans
-
-    @property
-    def _tables(self) -> Dict[str, TuningTable]:
-        return self.pipeline._tables
-
-    def plan_cache(self, comm) -> PlanCache:
-        """This communicator's compiled-plan store."""
-        return self.pipeline.plan_cache(comm)
-
-    def decide(self, comm, coll: str, nbytes: int, dt=None, op=None,
-               *buffers) -> RouteDecision:
-        """The routing decision for one call (exposed for tests and
-        persistent-collective plan warming)."""
-        return self.pipeline.decide(comm, coll, nbytes, dt, op, *buffers)
-
     def release(self, comm) -> None:
         """Drop everything cached for ``comm`` (MPI ``Comm_free``)."""
         self.pipeline.release(comm)
 
-    # -- dispatched collectives: one-line descriptor constructions -----------
+    def warm(self, call: CollectiveCall) -> None:
+        """Compile a persistent collective's routing plan at init, so
+        every ``Start`` replays a cache hit."""
+        if call.coll in REGISTRY:
+            self.pipeline.warm(call)
 
-    def bcast(self, comm, buf, count, dt, root) -> None:
-        self.pipeline.run(CollectiveCall(
-            "bcast", comm, recvbuf=buf, count=count, dt=dt, root=root))
-
-    def reduce(self, comm, sendbuf, recvbuf, count, dt, op, root) -> None:
-        self.pipeline.run(CollectiveCall(
-            "reduce", comm, sendbuf=sendbuf, recvbuf=recvbuf, count=count,
-            dt=dt, op=op, root=root))
-
-    def allreduce(self, comm, sendbuf, recvbuf, count, dt, op) -> None:
-        self.pipeline.run(CollectiveCall(
-            "allreduce", comm, sendbuf=sendbuf, recvbuf=recvbuf, count=count,
-            dt=dt, op=op))
-
-    def allgather(self, comm, sendbuf, recvbuf, count, dt) -> None:
-        self.pipeline.run(CollectiveCall(
-            "allgather", comm, sendbuf=sendbuf, recvbuf=recvbuf, count=count,
-            dt=dt))
-
-    def allgatherv(self, comm, sendbuf, recvbuf, counts, displs, dt) -> None:
-        self.pipeline.run(CollectiveCall(
-            "allgatherv", comm, sendbuf=sendbuf, recvbuf=recvbuf,
-            recvcounts=counts, rdispls=displs, dt=dt))
-
-    def alltoall(self, comm, sendbuf, recvbuf, count, dt) -> None:
-        self.pipeline.run(CollectiveCall(
-            "alltoall", comm, sendbuf=sendbuf, recvbuf=recvbuf, count=count,
-            dt=dt))
-
-    def alltoallv(self, comm, sendbuf, sendcounts, sdispls,
-                  recvbuf, recvcounts, rdispls, dt) -> None:
-        self.pipeline.run(CollectiveCall(
-            "alltoallv", comm, sendbuf=sendbuf, recvbuf=recvbuf,
-            sendcounts=sendcounts, sdispls=sdispls, recvcounts=recvcounts,
-            rdispls=rdispls, dt=dt))
-
-    def gather(self, comm, sendbuf, recvbuf, count, dt, root) -> None:
-        self.pipeline.run(CollectiveCall(
-            "gather", comm, sendbuf=sendbuf, recvbuf=recvbuf, count=count,
-            dt=dt, root=root))
-
-    def gatherv(self, comm, sendbuf, recvbuf, counts, displs, dt, root) -> None:
-        self.pipeline.run(CollectiveCall(
-            "gatherv", comm, sendbuf=sendbuf, recvbuf=recvbuf,
-            recvcounts=counts, rdispls=displs, dt=dt, root=root))
-
-    def scatter(self, comm, sendbuf, recvbuf, count, dt, root) -> None:
-        self.pipeline.run(CollectiveCall(
-            "scatter", comm, sendbuf=sendbuf, recvbuf=recvbuf, count=count,
-            dt=dt, root=root))
-
-    def scatterv(self, comm, sendbuf, counts, displs, recvbuf, dt, root) -> None:
-        self.pipeline.run(CollectiveCall(
-            "scatterv", comm, sendbuf=sendbuf, recvbuf=recvbuf,
-            sendcounts=counts, sdispls=displs, dt=dt, root=root))
-
-    def reduce_scatter_block(self, comm, sendbuf, recvbuf, count, dt, op) -> None:
-        self.pipeline.run(CollectiveCall(
-            "reduce_scatter_block", comm, sendbuf=sendbuf, recvbuf=recvbuf,
-            count=count, dt=dt, op=op))
+    def run(self, call: CollectiveCall) -> None:
+        """Routed collectives go through the pipeline; the rest run the
+        inherited MPI algorithms."""
+        if call.coll in REGISTRY:
+            self.pipeline.run(call)
+        else:
+            super().run(call)

@@ -11,9 +11,7 @@ A :class:`CollectivePlan` captures that derivation once;
 :class:`PlanCache` replays it on every later call with one dict lookup.
 This is the *plan lookup* stage of the dispatch pipeline: the
 :class:`~repro.core.dispatch.CollectivePipeline` keeps one cache per
-communicator (:meth:`~repro.core.dispatch.CollectivePipeline.plan_cache`,
-re-exposed by :class:`~repro.core.hybrid.HybridDispatcher` under the
-historical name), and the mpi4py-style persistent collectives
+communicator, and the mpi4py-style persistent collectives
 (``Allreduce_init`` → ``Request.Start()``) warm it at init time.
 
 :class:`BufferPool` is the allocation-reuse half: staging scratch

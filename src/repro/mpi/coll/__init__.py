@@ -5,7 +5,9 @@
 the MPI-internal tuning table (:mod:`repro.mpi.coll.tuning`) and runs
 the chosen algorithm.  The xCCL abstraction layer subclasses it
 (:class:`repro.core.hybrid.HybridDispatcher`) — the "hook in the MPI
-runtime" of §3.3.
+runtime" of §3.3.  Every collective arrives as one
+:class:`~repro.mpi.communicator.CollectiveCall`; :meth:`MPICollDispatcher.run`
+executes it with the method of the same name.
 """
 
 from __future__ import annotations
@@ -104,7 +106,10 @@ class MPICollDispatcher:
         self.force = force
         self._algo_cache: Dict[Tuple, object] = {}
 
-    def _pick(self, coll: str, nbytes: int, p: int, commutative: bool = True):
+    def _pick(self, coll: str, c, commutative: bool = True):
+        """The algorithm for ``call`` ``c`` under tuning-table row
+        ``coll``."""
+        nbytes, p = c.count * c.dt.itemsize, c.comm.size
         # self.force joins the key so mutating it cannot go stale
         key = (self.force, coll, nbytes, p, commutative)
         fn = self._algo_cache.get(key)
@@ -117,59 +122,67 @@ class MPICollDispatcher:
         """Communicator-free hook; nothing to drop for the plain MPI
         dispatcher (subclasses release their plan caches here)."""
 
-    # each method mirrors a Communicator entry point ------------------
+    def warm(self, call) -> None:
+        """Persistent-collective init hook; the plain MPI dispatcher
+        has no routing plan to compile."""
 
-    def barrier(self, comm) -> None:
-        barrier_dissemination(comm)
+    def run(self, call) -> None:
+        """Execute one :class:`~repro.mpi.communicator.CollectiveCall`
+        with the algorithm method named by ``call.coll``."""
+        getattr(self, call.coll)(call)
 
-    def bcast(self, comm, buf, count, dt, root) -> None:
-        self._pick("bcast", count * dt.itemsize, comm.size)(
-            comm, buf, count, dt, root)
+    # one method per collective, each taking the CollectiveCall ---------
 
-    def reduce(self, comm, sendbuf, recvbuf, count, dt, op, root) -> None:
-        self._pick("reduce", count * dt.itemsize, comm.size, op.commutative)(
-            comm, sendbuf, recvbuf, count, dt, op, root)
+    def barrier(self, c) -> None:
+        barrier_dissemination(c.comm)
 
-    def allreduce(self, comm, sendbuf, recvbuf, count, dt, op) -> None:
-        self._pick("allreduce", count * dt.itemsize, comm.size, op.commutative)(
-            comm, sendbuf, recvbuf, count, dt, op)
+    def bcast(self, c) -> None:
+        self._pick("bcast", c)(c.comm, c.recvbuf, c.count, c.dt, c.root)
 
-    def allgather(self, comm, sendbuf, recvbuf, count, dt) -> None:
-        self._pick("allgather", count * dt.itemsize, comm.size)(
-            comm, sendbuf, recvbuf, count, dt)
+    def reduce(self, c) -> None:
+        self._pick("reduce", c, c.op.commutative)(
+            c.comm, c.sendbuf, c.recvbuf, c.count, c.dt, c.op, c.root)
 
-    def allgatherv(self, comm, sendbuf, recvbuf, counts, displs, dt) -> None:
-        allgatherv_ring(comm, sendbuf, recvbuf, counts, displs, dt)
+    def allreduce(self, c) -> None:
+        self._pick("allreduce", c, c.op.commutative)(
+            c.comm, c.sendbuf, c.recvbuf, c.count, c.dt, c.op)
 
-    def alltoall(self, comm, sendbuf, recvbuf, count, dt) -> None:
-        self._pick("alltoall", count * dt.itemsize, comm.size)(
-            comm, sendbuf, recvbuf, count, dt)
+    def allgather(self, c) -> None:
+        self._pick("allgather", c)(c.comm, c.sendbuf, c.recvbuf, c.count, c.dt)
 
-    def alltoallv(self, comm, sendbuf, sendcounts, sdispls,
-                  recvbuf, recvcounts, rdispls, dt) -> None:
-        alltoallv_scattered(comm, sendbuf, sendcounts, sdispls,
-                            recvbuf, recvcounts, rdispls, dt)
+    def allgatherv(self, c) -> None:
+        allgatherv_ring(c.comm, c.sendbuf, c.recvbuf, c.recvcounts,
+                        c.rdispls, c.dt)
 
-    def gather(self, comm, sendbuf, recvbuf, count, dt, root) -> None:
-        self._pick("gather", count * dt.itemsize, comm.size)(
-            comm, sendbuf, recvbuf, count, dt, root)
+    def alltoall(self, c) -> None:
+        self._pick("alltoall", c)(c.comm, c.sendbuf, c.recvbuf, c.count, c.dt)
 
-    def gatherv(self, comm, sendbuf, recvbuf, counts, displs, dt, root) -> None:
-        gatherv_linear(comm, sendbuf, recvbuf, counts, displs, dt, root)
+    def alltoallv(self, c) -> None:
+        alltoallv_scattered(c.comm, c.sendbuf, c.sendcounts, c.sdispls,
+                            c.recvbuf, c.recvcounts, c.rdispls, c.dt)
 
-    def scatter(self, comm, sendbuf, recvbuf, count, dt, root) -> None:
-        self._pick("scatter", count * dt.itemsize, comm.size)(
-            comm, sendbuf, recvbuf, count, dt, root)
+    def gather(self, c) -> None:
+        self._pick("gather", c)(c.comm, c.sendbuf, c.recvbuf, c.count, c.dt,
+                                c.root)
 
-    def scatterv(self, comm, sendbuf, counts, displs, recvbuf, dt, root) -> None:
-        scatterv_linear(comm, sendbuf, counts, displs, recvbuf, dt, root)
+    def gatherv(self, c) -> None:
+        gatherv_linear(c.comm, c.sendbuf, c.recvbuf, c.recvcounts, c.rdispls,
+                       c.dt, c.root)
 
-    def reduce_scatter_block(self, comm, sendbuf, recvbuf, count, dt, op) -> None:
-        self._pick("reduce_scatter", count * dt.itemsize, comm.size,
-                   op.commutative)(comm, sendbuf, recvbuf, count, dt, op)
+    def scatter(self, c) -> None:
+        self._pick("scatter", c)(c.comm, c.sendbuf, c.recvbuf, c.count, c.dt,
+                                 c.root)
 
-    def scan(self, comm, sendbuf, recvbuf, count, dt, op) -> None:
-        scan_linear(comm, sendbuf, recvbuf, count, dt, op)
+    def scatterv(self, c) -> None:
+        scatterv_linear(c.comm, c.sendbuf, c.sendcounts, c.sdispls,
+                        c.recvbuf, c.dt, c.root)
 
-    def exscan(self, comm, sendbuf, recvbuf, count, dt, op) -> None:
-        exscan_linear(comm, sendbuf, recvbuf, count, dt, op)
+    def reduce_scatter_block(self, c) -> None:
+        self._pick("reduce_scatter", c, c.op.commutative)(
+            c.comm, c.sendbuf, c.recvbuf, c.count, c.dt, c.op)
+
+    def scan(self, c) -> None:
+        scan_linear(c.comm, c.sendbuf, c.recvbuf, c.count, c.dt, c.op)
+
+    def exscan(self, c) -> None:
+        exscan_linear(c.comm, c.sendbuf, c.recvbuf, c.count, c.dt, c.op)

@@ -13,12 +13,13 @@ fail.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence, Tuple
-
+from dataclasses import dataclass
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro import fastpath
-from repro.errors import (CommRevokedError, DeadlockError, MPICommError,
-                          MPICountError, MPIRankError, RankKilledError)
+from repro.errors import (CommRevokedError, DeadlockError, InvalidBufferError,
+                          MPICommError, MPICountError, MPIRankError,
+                          RankKilledError)
 from repro.hw.memory import as_array
 from repro.mpi.config import MPIConfig, mvapich_gpu
 from repro.mpi.datatypes import Datatype, datatype_of
@@ -34,6 +35,73 @@ IN_PLACE = object()
 
 #: collective traffic lives above this tag (user tags stay below).
 COLL_TAG_BASE = 1 << 20
+
+#: buffer extents of the uniform collectives in ``count`` blocks, as
+#: (sendbuf, recvbuf, the side only the root touches).  "p" is one
+#: block per rank; None marks a buffer the collective does not take.
+_EXTENTS = {
+    "bcast": (None, 1, None),
+    "reduce": (1, 1, "recvbuf"),
+    "allreduce": (1, 1, None),
+    "allgather": (1, "p", None),
+    "alltoall": ("p", "p", None),
+    "gather": (1, "p", "recvbuf"),
+    "scatter": ("p", 1, "sendbuf"),
+    "reduce_scatter_block": ("p", 1, None),
+}
+
+
+@dataclass
+class CollectiveCall:
+    """One collective operation, fully described.
+
+    The logical descriptor (HiCCL-style) a :class:`Communicator` builds
+    once per call and hands to its dispatcher's ``run``.  Element-
+    addressed exactly like the MPI calls it mirrors: ``count`` for
+    uniform collectives, ``sendcounts``/``sdispls`` and
+    ``recvcounts``/``rdispls`` for the vector forms (gatherv and
+    allgatherv populate the recv side, scatterv the send side).
+    ``Bcast``'s single buffer is stored as ``recvbuf``.
+    """
+
+    coll: str
+    comm: Any
+    sendbuf: Any = None
+    recvbuf: Any = None
+    count: int = 0
+    sendcounts: Optional[Sequence[int]] = None
+    sdispls: Optional[Sequence[int]] = None
+    recvcounts: Optional[Sequence[int]] = None
+    rdispls: Optional[Sequence[int]] = None
+    dt: Any = None
+    op: Any = None
+    root: Optional[int] = None
+
+    def check_extents(self) -> None:
+        """Raise :class:`InvalidBufferError` when a buffer significant
+        on this rank holds fewer elements than ``count`` requires —
+        the same verdict on every route, before any routing.  Covers
+        the uniform collectives; an ``IN_PLACE`` call's recvbuf also
+        carries the send side."""
+        rule = _EXTENTS.get(self.coll)
+        if rule is None:
+            return
+        send, recv, rooted = rule
+        if rooted != "sendbuf" and (self.sendbuf is IN_PLACE
+                                    or self.sendbuf is None):
+            recv = "p" if "p" in (send, recv) else recv
+        at_root = self.comm.rank == self.root
+        for side, buf, blocks in (("sendbuf", self.sendbuf, send),
+                                  ("recvbuf", self.recvbuf, recv)):
+            if blocks is None or buf is None or buf is IN_PLACE or \
+                    (side == rooted and not at_root):
+                continue
+            need = self.count * (self.comm.size if blocks == "p" else 1)
+            have = as_array(buf).size
+            if have < need:
+                raise InvalidBufferError(
+                    f"{self.coll}: {side} holds {have} elements, "
+                    f"count {self.count} needs {need}")
 
 
 class Communicator:
@@ -454,10 +522,6 @@ class Communicator:
         call sequence on every rank keeps these in agreement)."""
         return COLL_TAG_BASE + (next(self._seq) << 6)
 
-    def coll_key(self, kind: str, tag: int) -> Tuple:
-        """Engine rendezvous key for a CCL-style fused collective."""
-        return (self.ctx_id, kind, tag)
-
     def _resolve(self, sendbuf, recvbuf, count: Optional[int],
                  datatype: Optional[Datatype]):
         """Common (sendbuf, recvbuf, count, datatype) normalization."""
@@ -470,75 +534,112 @@ class Communicator:
         return count, dt
 
     # -- collectives ---------------------------------------------------------
+    # Every entry point resolves its arguments once into a CollectiveCall
+    # and hands that to the dispatcher; the ``_*_call`` builders are the
+    # resolutions shared with the persistent ``*_init`` forms below.
+
+    def _run(self, call: CollectiveCall) -> None:
+        """Check ``call``'s buffer extents, then dispatch it under the
+        elastic-failure contract."""
+        call.check_extents()
+        self._elastic(lambda: self.coll.run(call))
+
+    def _bcast_call(self, buf, root, count, datatype) -> CollectiveCall:
+        count, dt = self._resolve(buf, buf, count, datatype)
+        self.world_rank(root)
+        return CollectiveCall("bcast", self, recvbuf=buf, count=count, dt=dt,
+                              root=root)
+
+    def _reduce_call(self, sendbuf, recvbuf, op, root, count,
+                     datatype) -> CollectiveCall:
+        count, dt = self._resolve(sendbuf, recvbuf, count, datatype)
+        op.validate(dt)
+        self.world_rank(root)
+        return CollectiveCall("reduce", self, sendbuf, recvbuf, count, dt=dt,
+                              op=op, root=root)
+
+    def _reduction_call(self, coll, sendbuf, recvbuf, op, count,
+                        datatype) -> CollectiveCall:
+        """allreduce, scan and exscan: same arguments, same resolution."""
+        count, dt = self._resolve(sendbuf, recvbuf, count, datatype)
+        op.validate(dt)
+        return CollectiveCall(coll, self, sendbuf, recvbuf, count, dt=dt,
+                              op=op)
+
+    def _allgather_call(self, sendbuf, recvbuf, count,
+                        datatype) -> CollectiveCall:
+        if count is None:
+            ref = recvbuf if sendbuf is IN_PLACE else sendbuf
+            count = as_array(ref).size
+            if sendbuf is IN_PLACE:
+                count //= self.size
+        return CollectiveCall("allgather", self, sendbuf, recvbuf, count,
+                              dt=datatype or datatype_of(recvbuf))
+
+    def _alltoall_call(self, sendbuf, recvbuf, count,
+                       datatype) -> CollectiveCall:
+        if count is None:
+            count = as_array(sendbuf).size // self.size
+        return CollectiveCall("alltoall", self, sendbuf, recvbuf, count,
+                              dt=datatype or datatype_of(sendbuf))
+
+    def _reduce_scatter_block_call(self, sendbuf, recvbuf, op, count,
+                                   datatype) -> CollectiveCall:
+        if count is None:
+            count = as_array(recvbuf).size
+        dt = datatype or datatype_of(recvbuf)
+        op.validate(dt)
+        return CollectiveCall("reduce_scatter_block", self, sendbuf, recvbuf,
+                              count, dt=dt, op=op)
 
     def Barrier(self) -> None:
         """``MPI_Barrier``."""
         self._check_live()
-        self._elastic(lambda: self.coll.barrier(self))
+        self._run(CollectiveCall("barrier", self))
 
     def Bcast(self, buf, root: int = 0, count: Optional[int] = None,
               datatype: Optional[Datatype] = None) -> None:
         """``MPI_Bcast``: root's buffer to everyone."""
         self._check_live()
-        count, dt = self._resolve(buf, buf, count, datatype)
-        self.world_rank(root)
-        self._elastic(lambda: self.coll.bcast(self, buf, count, dt, root))
+        self._run(self._bcast_call(buf, root, count, datatype))
 
     def Reduce(self, sendbuf, recvbuf, op: Op = SUM, root: int = 0,
                count: Optional[int] = None,
                datatype: Optional[Datatype] = None) -> None:
         """``MPI_Reduce`` to ``root``."""
         self._check_live()
-        count, dt = self._resolve(sendbuf, recvbuf, count, datatype)
-        op.validate(dt)
-        self.world_rank(root)
-        self._elastic(
-            lambda: self.coll.reduce(self, sendbuf, recvbuf, count, dt, op,
-                                     root))
+        self._run(self._reduce_call(sendbuf, recvbuf, op, root, count,
+                                    datatype))
 
     def Allreduce(self, sendbuf, recvbuf, op: Op = SUM,
                   count: Optional[int] = None,
                   datatype: Optional[Datatype] = None) -> None:
         """``MPI_Allreduce``."""
         self._check_live()
-        count, dt = self._resolve(sendbuf, recvbuf, count, datatype)
-        op.validate(dt)
-        self._elastic(
-            lambda: self.coll.allreduce(self, sendbuf, recvbuf, count, dt, op))
+        self._run(self._reduction_call("allreduce", sendbuf, recvbuf, op,
+                                       count, datatype))
 
     def Allgather(self, sendbuf, recvbuf, count: Optional[int] = None,
                   datatype: Optional[Datatype] = None) -> None:
         """``MPI_Allgather``; ``count`` is the per-rank contribution."""
         self._check_live()
-        if count is None:
-            ref = recvbuf if sendbuf is IN_PLACE else sendbuf
-            count = as_array(ref).size
-            if sendbuf is IN_PLACE:
-                count //= self.size
-        dt = datatype or datatype_of(recvbuf)
-        self._elastic(
-            lambda: self.coll.allgather(self, sendbuf, recvbuf, count, dt))
+        self._run(self._allgather_call(sendbuf, recvbuf, count, datatype))
 
     def Allgatherv(self, sendbuf, recvbuf, counts: Sequence[int],
                    displs: Optional[Sequence[int]] = None,
                    datatype: Optional[Datatype] = None) -> None:
         """``MPI_Allgatherv`` with per-rank counts."""
         self._check_live()
-        dt = datatype or datatype_of(recvbuf)
-        displs = list(displs) if displs is not None else _prefix(counts)
-        self._elastic(
-            lambda: self.coll.allgatherv(self, sendbuf, recvbuf, list(counts),
-                                         displs, dt))
+        self._run(CollectiveCall(
+            "allgatherv", self, sendbuf, recvbuf, recvcounts=list(counts),
+            rdispls=_displs(displs, counts),
+            dt=datatype or datatype_of(recvbuf)))
 
     def Alltoall(self, sendbuf, recvbuf, count: Optional[int] = None,
                  datatype: Optional[Datatype] = None) -> None:
         """``MPI_Alltoall``; ``count`` is the per-destination block."""
         self._check_live()
-        if count is None:
-            count = as_array(sendbuf).size // self.size
-        dt = datatype or datatype_of(sendbuf)
-        self._elastic(
-            lambda: self.coll.alltoall(self, sendbuf, recvbuf, count, dt))
+        self._run(self._alltoall_call(sendbuf, recvbuf, count, datatype))
 
     def Alltoallv(self, sendbuf, sendcounts: Sequence[int],
                   recvbuf, recvcounts: Sequence[int],
@@ -547,13 +648,11 @@ class Communicator:
                   datatype: Optional[Datatype] = None) -> None:
         """``MPI_Alltoallv`` (Listing 1 of the paper targets this)."""
         self._check_live()
-        dt = datatype or datatype_of(sendbuf)
-        sdispls = list(sdispls) if sdispls is not None else _prefix(sendcounts)
-        rdispls = list(rdispls) if rdispls is not None else _prefix(recvcounts)
-        self._elastic(
-            lambda: self.coll.alltoallv(self, sendbuf, list(sendcounts),
-                                        sdispls, recvbuf, list(recvcounts),
-                                        rdispls, dt))
+        self._run(CollectiveCall(
+            "alltoallv", self, sendbuf, recvbuf,
+            sendcounts=list(sendcounts), sdispls=_displs(sdispls, sendcounts),
+            recvcounts=list(recvcounts), rdispls=_displs(rdispls, recvcounts),
+            dt=datatype or datatype_of(sendbuf)))
 
     def Gather(self, sendbuf, recvbuf, root: int = 0,
                count: Optional[int] = None,
@@ -562,22 +661,21 @@ class Communicator:
         self._check_live()
         if count is None:
             count = as_array(sendbuf).size
-        dt = datatype or datatype_of(sendbuf)
         self.world_rank(root)
-        self._elastic(
-            lambda: self.coll.gather(self, sendbuf, recvbuf, count, dt, root))
+        self._run(CollectiveCall("gather", self, sendbuf, recvbuf, count,
+                                 dt=datatype or datatype_of(sendbuf),
+                                 root=root))
 
     def Gatherv(self, sendbuf, recvbuf, counts: Sequence[int],
                 displs: Optional[Sequence[int]] = None, root: int = 0,
                 datatype: Optional[Datatype] = None) -> None:
         """``MPI_Gatherv``."""
         self._check_live()
-        dt = datatype or datatype_of(sendbuf)
-        displs = list(displs) if displs is not None else _prefix(counts)
         self.world_rank(root)
-        self._elastic(
-            lambda: self.coll.gatherv(self, sendbuf, recvbuf, list(counts),
-                                      displs, dt, root))
+        self._run(CollectiveCall(
+            "gatherv", self, sendbuf, recvbuf, recvcounts=list(counts),
+            rdispls=_displs(displs, counts),
+            dt=datatype or datatype_of(sendbuf), root=root))
 
     def Scatter(self, sendbuf, recvbuf, root: int = 0,
                 count: Optional[int] = None,
@@ -586,45 +684,37 @@ class Communicator:
         self._check_live()
         if count is None:
             count = as_array(recvbuf).size
-        dt = datatype or datatype_of(recvbuf)
         self.world_rank(root)
-        self._elastic(
-            lambda: self.coll.scatter(self, sendbuf, recvbuf, count, dt, root))
+        self._run(CollectiveCall("scatter", self, sendbuf, recvbuf, count,
+                                 dt=datatype or datatype_of(recvbuf),
+                                 root=root))
 
     def Scatterv(self, sendbuf, counts: Sequence[int], recvbuf,
                  displs: Optional[Sequence[int]] = None, root: int = 0,
                  datatype: Optional[Datatype] = None) -> None:
         """``MPI_Scatterv``."""
         self._check_live()
-        dt = datatype or datatype_of(recvbuf)
-        displs = list(displs) if displs is not None else _prefix(counts)
         self.world_rank(root)
-        self._elastic(
-            lambda: self.coll.scatterv(self, sendbuf, list(counts), displs,
-                                       recvbuf, dt, root))
+        self._run(CollectiveCall(
+            "scatterv", self, sendbuf, recvbuf, sendcounts=list(counts),
+            sdispls=_displs(displs, counts),
+            dt=datatype or datatype_of(recvbuf), root=root))
 
     def Reduce_scatter_block(self, sendbuf, recvbuf, op: Op = SUM,
                              count: Optional[int] = None,
                              datatype: Optional[Datatype] = None) -> None:
         """``MPI_Reduce_scatter_block``; ``count`` is per-rank output."""
         self._check_live()
-        if count is None:
-            count = as_array(recvbuf).size
-        dt = datatype or datatype_of(recvbuf)
-        op.validate(dt)
-        self._elastic(
-            lambda: self.coll.reduce_scatter_block(self, sendbuf, recvbuf,
-                                                   count, dt, op))
+        self._run(self._reduce_scatter_block_call(sendbuf, recvbuf, op, count,
+                                                  datatype))
 
     def Scan(self, sendbuf, recvbuf, op: Op = SUM,
              count: Optional[int] = None,
              datatype: Optional[Datatype] = None) -> None:
         """``MPI_Scan`` (inclusive prefix reduction)."""
         self._check_live()
-        count, dt = self._resolve(sendbuf, recvbuf, count, datatype)
-        op.validate(dt)
-        self._elastic(
-            lambda: self.coll.scan(self, sendbuf, recvbuf, count, dt, op))
+        self._run(self._reduction_call("scan", sendbuf, recvbuf, op, count,
+                                       datatype))
 
     def Exscan(self, sendbuf, recvbuf, op: Op = SUM,
                count: Optional[int] = None,
@@ -632,10 +722,8 @@ class Communicator:
         """``MPI_Exscan`` (exclusive prefix reduction; rank 0's recvbuf
         is untouched)."""
         self._check_live()
-        count, dt = self._resolve(sendbuf, recvbuf, count, datatype)
-        op.validate(dt)
-        self._elastic(
-            lambda: self.coll.exscan(self, sendbuf, recvbuf, count, dt, op))
+        self._run(self._reduction_call("exscan", sendbuf, recvbuf, op, count,
+                                       datatype))
 
     # -- nonblocking collectives (§1.2 advantage 4) ----------------------------
 
@@ -661,24 +749,21 @@ class Communicator:
 
     # -- persistent collectives (MPI 4.0 ``MPI_Allreduce_init`` style) -----------
 
-    def _warm_plan(self, coll: str, nbytes: int, dt, op, *buffers) -> None:
-        """Compile the routing plan at init time (when the dispatcher
-        supports planning), so ``Start`` replays a cache hit."""
-        decide = getattr(self.coll, "decide", None)
-        if decide is not None:
-            decide(self, coll, nbytes, dt, op, *buffers)
-
-    def _persistent_coll(self, coll: str, run) -> "PersistentCollRequest":
-        # the blocking run() completes synchronously, so every Start
+    def _persistent(self, call: CollectiveCall) -> "PersistentCollRequest":
+        """Check ``call`` and let the dispatcher compile its routing plan
+        once; every ``Start`` replays the same call."""
+        call.check_extents()
+        self.coll.warm(call)
+        # the blocking run completes synchronously, so every Start
         # returns the same already-done request marker
-        done = Request.completed(Status(), kind=f"{coll}-init")
+        done = Request.completed(Status(), kind=f"{call.coll}-init")
 
         def factory() -> Request:
             self._check_live()
-            run()
+            self._elastic(lambda: self.coll.run(call))
             return done
 
-        return PersistentCollRequest(factory, coll)
+        return PersistentCollRequest(factory, call.coll)
 
     def Allreduce_init(self, sendbuf, recvbuf, op: Op = SUM,
                        count: Optional[int] = None,
@@ -686,89 +771,49 @@ class Communicator:
         """Persistent allreduce: arguments resolved and the routing
         plan compiled once; each ``Start`` replays it."""
         self._check_live()
-        count, dt = self._resolve(sendbuf, recvbuf, count, datatype)
-        op.validate(dt)
-        self._warm_plan("allreduce", count * dt.itemsize, dt, op,
-                        sendbuf, recvbuf)
-        return self._persistent_coll(
-            "allreduce",
-            lambda: self.coll.allreduce(self, sendbuf, recvbuf, count, dt, op))
+        return self._persistent(self._reduction_call(
+            "allreduce", sendbuf, recvbuf, op, count, datatype))
 
     def Bcast_init(self, buf, root: int = 0, count: Optional[int] = None,
                    datatype: Optional[Datatype] = None) -> "PersistentCollRequest":
         """Persistent broadcast."""
         self._check_live()
-        count, dt = self._resolve(buf, buf, count, datatype)
-        self.world_rank(root)
-        self._warm_plan("bcast", count * dt.itemsize, dt, None, buf)
-        return self._persistent_coll(
-            "bcast", lambda: self.coll.bcast(self, buf, count, dt, root))
+        return self._persistent(self._bcast_call(buf, root, count, datatype))
 
     def Reduce_init(self, sendbuf, recvbuf, op: Op = SUM, root: int = 0,
                     count: Optional[int] = None,
                     datatype: Optional[Datatype] = None) -> "PersistentCollRequest":
         """Persistent reduce."""
         self._check_live()
-        count, dt = self._resolve(sendbuf, recvbuf, count, datatype)
-        op.validate(dt)
-        self.world_rank(root)
-        bufs = (sendbuf, recvbuf) if self._rank == root else (sendbuf,)
-        self._warm_plan("reduce", count * dt.itemsize, dt, op, *bufs)
-        return self._persistent_coll(
-            "reduce",
-            lambda: self.coll.reduce(self, sendbuf, recvbuf, count, dt, op,
-                                     root))
+        return self._persistent(self._reduce_call(sendbuf, recvbuf, op, root,
+                                                  count, datatype))
 
     def Allgather_init(self, sendbuf, recvbuf, count: Optional[int] = None,
                        datatype: Optional[Datatype] = None) -> "PersistentCollRequest":
         """Persistent allgather (``count`` per-rank contribution)."""
         self._check_live()
-        if count is None:
-            ref = recvbuf if sendbuf is IN_PLACE else sendbuf
-            count = as_array(ref).size
-            if sendbuf is IN_PLACE:
-                count //= self.size
-        dt = datatype or datatype_of(recvbuf)
-        self._warm_plan("allgather", count * dt.itemsize, dt, None,
-                        sendbuf, recvbuf)
-        return self._persistent_coll(
-            "allgather",
-            lambda: self.coll.allgather(self, sendbuf, recvbuf, count, dt))
+        return self._persistent(self._allgather_call(sendbuf, recvbuf, count,
+                                                     datatype))
 
     def Alltoall_init(self, sendbuf, recvbuf, count: Optional[int] = None,
                       datatype: Optional[Datatype] = None) -> "PersistentCollRequest":
         """Persistent alltoall (``count`` per-destination block)."""
         self._check_live()
-        if count is None:
-            count = as_array(sendbuf).size // self.size
-        dt = datatype or datatype_of(sendbuf)
-        self._warm_plan("alltoall", count * dt.itemsize, dt, None,
-                        sendbuf, recvbuf)
-        return self._persistent_coll(
-            "alltoall",
-            lambda: self.coll.alltoall(self, sendbuf, recvbuf, count, dt))
+        return self._persistent(self._alltoall_call(sendbuf, recvbuf, count,
+                                                    datatype))
 
     def Reduce_scatter_block_init(self, sendbuf, recvbuf, op: Op = SUM,
                                   count: Optional[int] = None,
                                   datatype: Optional[Datatype] = None) -> "PersistentCollRequest":
         """Persistent reduce_scatter_block (``count`` per-rank output)."""
         self._check_live()
-        if count is None:
-            count = as_array(recvbuf).size
-        dt = datatype or datatype_of(recvbuf)
-        op.validate(dt)
-        self._warm_plan("reduce_scatter", count * dt.itemsize, dt, op,
-                        sendbuf, recvbuf)
-        return self._persistent_coll(
-            "reduce_scatter",
-            lambda: self.coll.reduce_scatter_block(self, sendbuf, recvbuf,
-                                                   count, dt, op))
+        return self._persistent(self._reduce_scatter_block_call(
+            sendbuf, recvbuf, op, count, datatype))
 
     def Barrier_init(self) -> "PersistentCollRequest":
         """Persistent barrier."""
         self._check_live()
-        return self._persistent_coll("barrier",
-                                     lambda: self.coll.barrier(self))
+        return self._persistent(CollectiveCall("barrier", self))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Communicator {self.ctx_id} rank {self._rank}/{self.size}>"
@@ -835,8 +880,12 @@ def start_all(requests: Sequence["PersistentRequest"]) -> None:
         r.Start()
 
 
-def _prefix(counts: Sequence[int]) -> List[int]:
-    """Exclusive prefix sums (default displacements)."""
+def _displs(displs: Optional[Sequence[int]],
+            counts: Sequence[int]) -> List[int]:
+    """``displs`` as a list, defaulting to the exclusive prefix sums of
+    ``counts``."""
+    if displs is not None:
+        return list(displs)
     out, acc = [], 0
     for c in counts:
         out.append(acc)

@@ -416,7 +416,7 @@ class CCLBackend:
             self._drain_recvs(ctx, late, arrivals_in, "fallback")
         ctx.clock.merge_many(arrivals_in)
         for op in ops:
-            op.comm.stream.enqueue(0.0, ctx.now, label="ccl-group")
+            op.comm.stream.enqueue(0.0, ctx.now)
 
     @staticmethod
     def _dead_peer_probe(ctx, peer_world: int):
@@ -492,7 +492,7 @@ class CCLBackend:
         # key = ("xccl", uid, kind, seq) — see XCCLComm.next_coll_key
         ctx.trace.record("ccl", t_deposit, ctx.now, nbytes=nbytes,
                          label=label or f"{self.name}:{key[2]}")
-        comm.stream.enqueue(0.0, ctx.now, label="ccl-coll")
+        comm.stream.enqueue(0.0, ctx.now)
         return result
 
     #: reductions whose result is bit-identical under any association

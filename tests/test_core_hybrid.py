@@ -15,10 +15,10 @@ class TestRouting:
         def body(mpx):
             comm = mpx.COMM_WORLD
             d = comm.coll
-            small = d.decide(comm, "allreduce", 64,
-                             None, SUM, mpx.device_array(16))
-            large = d.decide(comm, "allreduce", 4 << 20,
-                             None, SUM, mpx.device_array(16))
+            small = d.pipeline.decide(comm, "allreduce", 64,
+                                      None, SUM, mpx.device_array(16))
+            large = d.pipeline.decide(comm, "allreduce", 4 << 20,
+                                      None, SUM, mpx.device_array(16))
             return (small.route, small.reason, large.route)
 
         out = run(body, system=thetagpu1)[0]
@@ -30,7 +30,8 @@ class TestRouting:
         def body(mpx):
             comm = mpx.COMM_WORLD
             host = np.zeros(1 << 20, dtype=np.float32)
-            d = comm.coll.decide(comm, "allreduce", 4 << 20, None, SUM, host)
+            d = comm.coll.pipeline.decide(
+                comm, "allreduce", 4 << 20, None, SUM, host)
             return d.reason
 
         assert run(body, system=thetagpu1)[0] == FallbackReason.HOST_BUFFER
@@ -41,7 +42,8 @@ class TestRouting:
         def body(mpx):
             comm = mpx.COMM_WORLD
             buf = mpx.device_array(16, dtype=np.complex128)
-            d = comm.coll.decide(comm, "allreduce", 4 << 20, DC, SUM, buf)
+            d = comm.coll.pipeline.decide(
+                comm, "allreduce", 4 << 20, DC, SUM, buf)
             return d.reason
 
         assert run(body, system=thetagpu1)[0] == FallbackReason.DATATYPE
@@ -53,7 +55,8 @@ class TestRouting:
             comm = mpx.COMM_WORLD
             buf = mpx.device_array(1 << 20)
             from repro.mpi.datatypes import FLOAT
-            d = comm.coll.decide(comm, "allreduce", 4 << 20, FLOAT, op, buf)
+            d = comm.coll.pipeline.decide(
+                comm, "allreduce", 4 << 20, FLOAT, op, buf)
             return d.reason
 
         assert run(body, system=thetagpu1)[0] == FallbackReason.REDUCE_OP
@@ -61,8 +64,8 @@ class TestRouting:
     def test_scan_always_mpi(self, thetagpu1):
         def body(mpx):
             comm = mpx.COMM_WORLD
-            d = comm.coll.decide(comm, "scan", 4 << 20, None, SUM,
-                                 mpx.device_array(16))
+            d = comm.coll.pipeline.decide(
+                comm, "scan", 4 << 20, None, SUM, mpx.device_array(16))
             return d.reason
 
         assert run(body, system=thetagpu1)[0] == FallbackReason.UNSUPPORTED_COLL
@@ -70,8 +73,8 @@ class TestRouting:
     def test_pure_mpi_mode_pins(self, thetagpu1):
         def body(mpx):
             comm = mpx.COMM_WORLD
-            d = comm.coll.decide(comm, "allreduce", 4 << 20, None, SUM,
-                                 mpx.device_array(16))
+            d = comm.coll.pipeline.decide(
+                comm, "allreduce", 4 << 20, None, SUM, mpx.device_array(16))
             return d.reason
 
         out = run(body, system=thetagpu1, mode=DispatchMode.PURE_MPI)[0]
@@ -80,8 +83,8 @@ class TestRouting:
     def test_pure_xccl_ignores_table(self, thetagpu1):
         def body(mpx):
             comm = mpx.COMM_WORLD
-            d = comm.coll.decide(comm, "allreduce", 4, None, SUM,
-                                 mpx.device_array(16))
+            d = comm.coll.pipeline.decide(
+                comm, "allreduce", 4, None, SUM, mpx.device_array(16))
             return d.route
 
         out = run(body, system=thetagpu1, mode=DispatchMode.PURE_XCCL)[0]

@@ -30,6 +30,7 @@ from repro import fastpath
 from repro.core import runtime
 from repro.core.dispatch import REGISTRY, CollectivePipeline
 from repro.core.fallback import FallbackReason, Route
+from repro.mpi.coll import MPICollDispatcher
 from repro.mpi.ops import SUM
 from tests import golden
 from tests.golden import STACK_IDS
@@ -51,7 +52,8 @@ def test_registry_covers_all_twelve():
         "scatter", "scatterv"])
     for name, spec in REGISTRY.items():
         assert spec.name == name
-        assert callable(spec.ccl) and callable(spec.mpi)
+        # the MPI route is the dispatcher method of the same name
+        assert callable(spec.ccl) and callable(getattr(MPICollDispatcher, name))
 
 
 @pytest.mark.parametrize("mode", golden.MODES)
@@ -127,8 +129,8 @@ class TestCapabilityChecksInOnePlace:
         def body(mpx):
             comm = mpx.COMM_WORLD
             buf = mpx.device_array(8, dtype=np.complex128)
-            d = comm.coll.decide(comm, "allreduce", 4 << 20, DOUBLE_COMPLEX,
-                                 SUM, buf)
+            d = comm.coll.pipeline.decide(
+                comm, "allreduce", 4 << 20, DOUBLE_COMPLEX, SUM, buf)
             return (d.route, d.reason)
 
         out = runtime.run(body, system=system, nodes=1, ranks_per_node=2,
@@ -143,7 +145,8 @@ class TestCapabilityChecksInOnePlace:
         def body(mpx):
             comm = mpx.COMM_WORLD
             buf = mpx.device_array(8, dtype=np.float64)
-            d = comm.coll.decide(comm, "allreduce", 4 << 20, DOUBLE, SUM, buf)
+            d = comm.coll.pipeline.decide(
+                comm, "allreduce", 4 << 20, DOUBLE, SUM, buf)
             return (d.route, d.reason)
 
         hccl = runtime.run(body, system="voyager", nodes=1,

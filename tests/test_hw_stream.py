@@ -33,17 +33,10 @@ class TestStream:
         with pytest.raises(StreamError):
             stream.enqueue(-1.0)
 
-    def test_history(self, stream):
-        stream.enqueue(1.0, label="a")
-        stream.enqueue(2.0, label="b")
-        labels = [h[0] for h in stream.history]
-        assert labels == ["a", "b"]
-
     def test_reset(self, stream):
         stream.enqueue(5.0)
         stream.reset()
         assert stream.ready_time == 0.0
-        assert stream.history == []
 
 
 class TestEvent:

@@ -114,10 +114,11 @@ def test_comm_free_releases_caches():
         sub.Allreduce(s, r, SUM)
         local, leaders = node_comms(sub)
         assert sub._hier_comms[0] is local
-        had_plans = sub.ctx_id in getattr(sub.coll, "_plans", {})
+        pipeline = sub.coll.pipeline
+        had_plans = sub.ctx_id in pipeline._plans
         sub.Free()
-        assert sub.ctx_id not in getattr(sub.coll, "_plans", {})
-        assert sub.ctx_id not in getattr(sub.coll, "_tables", {})
+        assert sub.ctx_id not in pipeline._plans
+        assert sub.ctx_id not in pipeline._tables
         assert not hasattr(sub, "_hier_comms")
         sub.Free()  # idempotent
         return had_plans
